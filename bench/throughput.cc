@@ -15,28 +15,12 @@
  * (sidecar directory), TRRIP_PERF_POLICIES (comma-separated policy
  * specs overriding the default set).
  *
- * Stub attribution (TRRIP_STUB_ATTRIBUTION=1): additionally runs the
- * mix with each engine layer stubbed to a no-op (CoreParams::stubMask,
- * kStub* in sim/core_model.hh) and reports the per-instruction cost
- * attributed to that layer as ns(full) - ns(stubbed) -- the
- * measurement behind the ROADMAP per-layer budget table, now
- * regenerable by CI.  Each (mask) point is measured over
- * TRRIP_STUB_ROUNDS interleaved rounds (default 3) taking the best
- * round, which rejects container frequency jitter.  Stubbed runs
- * simulate different behavior by construction; their timings go only
- * into the sidecar's "stub_attribution" block, never into BENCH data.
- *
- * Every attribution lever pins the exact engine (SimMode::Exact) so
- * the per-layer table keeps its meaning under TRRIP_SIM_MODE=fast.
- * Under that env the sweep gains one extra row, "memo": the fast
- * engine unstubbed, whose attributed cost is full - fast -- i.e. the
- * per-instruction time the block-level fetch memoization *saves*, on
- * the same footing as the per-layer costs.  (The dedicated
- * exact-vs-fast bench is bench/fast_mode.cc; this row just keeps the
- * savings visible next to the costs it competes with.)
+ * Per-layer costs (executor, core, branch unit, MMU, hierarchy, L2
+ * policy) come from the traced replay of the repository benchmark:
+ * python3 perfbench/run.py --workload proxy-grid --seed 1
+ * --seconds 50 --trace 1.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -69,47 +53,6 @@ struct PolicyTiming
                    ? static_cast<double>(instructions) / 1e6 /
                          wallSeconds
                    : 0.0;
-    }
-};
-
-/** One stub-attribution lever: a layer stubbed out of the engine. */
-struct StubPoint
-{
-    const char *layer;
-    unsigned mask;
-    /** The memo row: fast engine, nothing stubbed. */
-    bool fast = false;
-    std::uint64_t instructions = 0;
-    double bestWallSeconds = 0.0;
-    std::uint64_t memoLookups = 0;
-    std::uint64_t memoHits = 0;
-
-    double
-    nsPerInstr() const
-    {
-        return instructions > 0
-                   ? bestWallSeconds * 1e9 /
-                         static_cast<double>(instructions)
-                   : 0.0;
-    }
-
-    /**
-     * Per-instruction cost attributed to this lever's layer.  The
-     * exec lever is producer-only, so its own rate IS the executor
-     * cost; every other lever removes one layer from the full
-     * engine, so its cost is the difference from @p full_ns.
-     */
-    double
-    attributedNs(double full_ns) const
-    {
-        // The memo row is a savings, not a cost: the fast engine is
-        // the full engine minus the work the memo replays.
-        if (fast)
-            return full_ns - nsPerInstr();
-        if (mask == trrip::kStubNone)
-            return 0.0;
-        return mask == trrip::kStubExec ? nsPerInstr()
-                                        : full_ns - nsPerInstr();
     }
 };
 
@@ -172,122 +115,6 @@ main()
                 "total", static_cast<double>(total_instr) / 1e6,
                 total_wall, total.minstrPerSec());
 
-    // --- Optional per-layer stub attribution sweep. ---
-    std::vector<StubPoint> stubs;
-    double stub_setup_seconds = 0.0;
-    const char *attr_env = std::getenv("TRRIP_STUB_ATTRIBUTION");
-    if (attr_env && *attr_env && std::string(attr_env) != "0") {
-        const char *pol_env = std::getenv("TRRIP_STUB_POLICY");
-        const std::string stub_policy =
-            (pol_env && *pol_env) ? pol_env : "SRRIP";
-        int rounds = 3;
-        if (const char *r = std::getenv("TRRIP_STUB_ROUNDS"))
-            rounds = std::max(1, std::atoi(r));
-
-        stubs = {
-            {"none", kStubNone},
-            {"hier", kStubHier},
-            {"branch", kStubBranch},
-            {"mmu", kStubMmu},
-            {"exec", kStubExec},
-        };
-        // Under TRRIP_SIM_MODE=fast, one extra lever: the fast
-        // engine itself, measured against the exact-pinned "none".
-        if (defaultSimMode() == SimMode::Fast)
-            stubs.push_back({"memo", kStubNone, true});
-        banner("Stub attribution (" + stub_policy +
-               "): best of " + std::to_string(rounds) +
-               " interleaved rounds");
-        spec.policies = {stub_policy};
-
-        // Per-cell fixed setup (workload build, classification,
-        // layout, load, hierarchy construction) is identical for
-        // every lever and is NOT engine work.  It cancels in the
-        // differenced levers but would inflate the full and exec
-        // rows -- grossly so at small CI budgets -- so it is
-        // measured once with a 1-instruction budget and subtracted
-        // from every lever's wall time.
-        double setup_wall = 0.0;
-        spec.configs.clear();
-        spec.configs.push_back({"setup", [](SimOptions &o) {
-                                    o.maxInstructions = 1;
-                                }});
-        for (int round = 0; round < rounds; ++round) {
-            const ExperimentResults results = runner.run(spec, {});
-            if (setup_wall == 0.0 ||
-                results.wallSeconds < setup_wall) {
-                setup_wall = results.wallSeconds;
-            }
-        }
-
-        for (int round = 0; round < rounds; ++round) {
-            for (StubPoint &stub : stubs) {
-                const unsigned mask = stub.mask;
-                const bool fast = stub.fast;
-                spec.configs.clear();
-                spec.configs.push_back(
-                    {stub.layer, [mask, fast](SimOptions &o) {
-                         o.core.stubMask = mask;
-                         o.core.mode = fast ? SimMode::Fast
-                                            : SimMode::Exact;
-                     }});
-                const ExperimentResults results = runner.run(spec, {});
-                std::uint64_t instr = 0, lookups = 0, hits = 0;
-                for (const CellRecord &cell : results.cells()) {
-                    if (!cell.valid)
-                        continue;
-                    instr += cell.result().instructions;
-                    lookups += cell.result().fast.lookups;
-                    hits += cell.result().fast.hits;
-                }
-                stub.instructions = instr;
-                stub.memoLookups = lookups;
-                stub.memoHits = hits;
-                if (stub.bestWallSeconds == 0.0 ||
-                    results.wallSeconds < stub.bestWallSeconds) {
-                    stub.bestWallSeconds = results.wallSeconds;
-                }
-            }
-        }
-        spec.configs.clear();
-
-        // Net out the fixed setup (floored at zero: the setup run is
-        // itself a noisy measurement).
-        stub_setup_seconds = setup_wall;
-        for (StubPoint &stub : stubs) {
-            stub.bestWallSeconds =
-                std::max(0.0, stub.bestWallSeconds - setup_wall);
-        }
-
-        const double full_ns = stubs.front().nsPerInstr();
-        double attributed_sum = 0.0;
-        std::printf("per-cell setup: %.3f s (subtracted from every "
-                    "lever)\n", setup_wall);
-        std::printf("%-8s %14s %14s\n", "layer", "stubbed ns/i",
-                    "attributed ns");
-        std::printf("%-8s %14.2f %14s\n", "full", full_ns, "-");
-        for (const StubPoint &stub : stubs) {
-            if (stub.mask == kStubNone && !stub.fast)
-                continue;
-            const double attributed = stub.attributedNs(full_ns);
-            // The memo row is a savings, not an engine layer; it
-            // stays out of the full-minus-levers residual.
-            if (!stub.fast)
-                attributed_sum += attributed;
-            std::printf("%-8s %14.2f %14.2f%s\n", stub.layer,
-                        stub.nsPerInstr(), attributed,
-                        stub.fast ? "  (saved by the memo)" : "");
-            if (stub.fast && stub.memoLookups > 0) {
-                std::printf("%-8s %14s hit rate %5.1f%%\n", "", "-",
-                            100.0 *
-                                static_cast<double>(stub.memoHits) /
-                                static_cast<double>(stub.memoLookups));
-            }
-        }
-        std::printf("%-8s %14s %14.2f  (full - sum of levers)\n",
-                    "core", "-", full_ns - attributed_sum);
-    }
-
     const std::string path = sidecarPath();
     std::ofstream out(path);
     fatal_if(!out, "cannot open ", path, " for writing");
@@ -313,46 +140,10 @@ main()
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "  \"total\": {\"instructions\": %llu, "
-                  "\"wall_seconds\": %.6f, \"minstr_per_sec\": %.3f}%s\n",
+                  "\"wall_seconds\": %.6f, \"minstr_per_sec\": %.3f}\n",
                   static_cast<unsigned long long>(total.instructions),
-                  total.wallSeconds, total.minstrPerSec(),
-                  stubs.empty() ? "" : ",");
+                  total.wallSeconds, total.minstrPerSec());
     out << buf;
-    if (!stubs.empty()) {
-        const double full_ns = stubs.front().nsPerInstr();
-        std::snprintf(buf, sizeof(buf),
-                      "  \"stub_setup_seconds\": %.6f,\n",
-                      stub_setup_seconds);
-        out << buf;
-        out << "  \"stub_attribution\": [\n";
-        for (std::size_t i = 0; i < stubs.size(); ++i) {
-            const StubPoint &stub = stubs[i];
-            const double attributed = stub.attributedNs(full_ns);
-            const double hit_rate =
-                stub.memoLookups > 0
-                    ? static_cast<double>(stub.memoHits) /
-                          static_cast<double>(stub.memoLookups)
-                    : 0.0;
-            if (stub.fast) {
-                std::snprintf(
-                    buf, sizeof(buf),
-                    "    {\"layer\": \"%s\", \"ns_per_instr\": %.3f, "
-                    "\"attributed_ns_per_instr\": %.3f, "
-                    "\"memo_hit_rate\": %.4f}%s\n",
-                    stub.layer, stub.nsPerInstr(), attributed,
-                    hit_rate, i + 1 < stubs.size() ? "," : "");
-            } else {
-                std::snprintf(
-                    buf, sizeof(buf),
-                    "    {\"layer\": \"%s\", \"ns_per_instr\": %.3f, "
-                    "\"attributed_ns_per_instr\": %.3f}%s\n",
-                    stub.layer, stub.nsPerInstr(), attributed,
-                    i + 1 < stubs.size() ? "," : "");
-            }
-            out << buf;
-        }
-        out << "  ]\n";
-    }
     out << "}\n";
     std::printf("\nwrote %s\n", path.c_str());
     return 0;

@@ -9,7 +9,7 @@
  * L2 MPKIs land in the regime of Table 3 (see EXPERIMENTS.md for the
  * measured values).  These are synthetic stand-ins: the real
  * benchmarks' binaries and inputs are not reproducible offline (see
- * DESIGN.md substitution table).
+ * README "Architecture").
  */
 
 #ifndef TRRIP_WORKLOADS_PROXIES_HH

@@ -23,8 +23,10 @@
 #include "branch/predictors.hh"
 #include "cache/hierarchy.hh"
 #include "sim/core_model.hh"
+#include "sim/golden.hh"
 #include "sw/mmu.hh"
 #include "sw/page_table.hh"
+#include "util/error.hh"
 
 namespace trrip {
 namespace {
@@ -100,20 +102,8 @@ struct Rig
                  BackendParams backend = BackendParams{}) :
         source(std::move(script)), pt(4096), mmu(pt),
         branch(BranchParams{}), hier(hp),
-        model(source, hier, mmu, branch, exact(core), backend)
+        model(source, hier, mmu, branch, core, backend)
     {}
-
-    /**
-     * Every assertion here is a hand-computed exact-engine number;
-     * pin the mode so the suite holds under TRRIP_SIM_MODE=fast (the
-     * sanitizer CI runs the golden label that way).
-     */
-    static CoreParams
-    exact(CoreParams core)
-    {
-        core.mode = SimMode::Exact;
-        return core;
-    }
 
     ScriptSource source;
     PageTable pt;
@@ -364,6 +354,44 @@ TEST(CoreModel, FdipDisabledIssuesNoPrefetches)
     const SimResult res = rig.model.run(100 * 16);
     EXPECT_EQ(res.prefetch.issued, 0u);
     EXPECT_EQ(res.l2.instDemandMisses, 100u);
+}
+
+// --------------------------- Cancellation ---------------------------
+
+TEST(CoreModel, CancelledRunThrowsAndAFreshAttemptMatchesUncancelled)
+{
+    // The watchdog's cooperative cancellation is polled at batch
+    // refills and unwinds out of run() as SimError(Timeout).  A retry
+    // gets a fresh CoreModel, so nothing from the interrupted attempt
+    // may leak into it: the rearmed rerun must reproduce the
+    // uncancelled result bit for bit.
+    const std::vector<BBEvent> script = {
+        block(0x10000, 8), block(0x10040, 5), block(0x10080, 7),
+    };
+    const InstCount budget = 20 * 60;
+    Rig reference(script, tinyHier(), noFdip());
+    const std::uint64_t expected =
+        goldenFingerprint(reference.model.run(budget));
+
+    CancelToken token;
+    {
+        Rig rig(script, tinyHier(), noFdip());
+        rig.model.setCancelToken(&token);
+        // A completed partial run, then a cancel mid-flight: the
+        // next batch refill must throw.
+        rig.model.run(20 * 20);
+        token.cancel();
+        try {
+            rig.model.run(20 * 200);
+            ADD_FAILURE() << "cancelled run() returned";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.category(), ErrorCategory::Timeout);
+        }
+    }
+    token.rearm();
+    Rig retry(script, tinyHier(), noFdip());
+    retry.model.setCancelToken(&token);
+    EXPECT_EQ(goldenFingerprint(retry.model.run(budget)), expected);
 }
 
 } // namespace
