@@ -31,6 +31,7 @@
 
 #include "harness.hh"
 #include "sim/golden.hh"
+#include "trace/format.hh"
 #include "trace/generate.hh"
 #include "trace/replay.hh"
 #include "util/logging.hh"
@@ -110,9 +111,16 @@ main()
         trace::generateMiniTracePack(dir);
     for (const std::string &path : pack) {
         const trace::TraceIndex index = trace::buildTraceIndex(path);
-        std::printf("%-40s %8llu records  %5zu blocks\n", path.c_str(),
+        // The decoded lap every replay of this trace shares.
+        const std::size_t lap = index.lap.bytes();
+        std::printf("%-40s %8llu records  %5zu blocks  %7zu lap "
+                    "bytes (%.1f B/record, raw %zu)\n",
+                    path.c_str(),
                     static_cast<unsigned long long>(index.recordCount),
-                    index.blocks.size());
+                    index.blocks.size(), lap,
+                    static_cast<double>(lap) /
+                        static_cast<double>(index.recordCount),
+                    sizeof(trace::TraceInstr));
     }
 
     ExperimentRunner parallel(0);

@@ -5,6 +5,7 @@
 #include "core/policy_registry.hh"
 #include "sim/golden.hh"
 #include "trace/source.hh"
+#include "util/error.hh"
 #include "util/logging.hh"
 #include "workloads/builder.hh"
 #include "workloads/proxies.hh"
@@ -26,17 +27,15 @@ multiCoreWorkloadsOf(const std::string &name)
     const std::string body =
         name.substr(std::string(kMultiCorePrefix).size());
     std::size_t start = 0;
-    while (start <= body.size()) {
+    while (true) {
         const std::size_t plus = body.find('+', start);
-        const std::size_t end =
-            plus == std::string::npos ? body.size() : plus;
-        if (end > start)
-            out.push_back(body.substr(start, end - start));
-        if (plus == std::string::npos)
-            break;
+        if (plus == std::string::npos) {
+            out.push_back(body.substr(start));
+            return out;
+        }
+        out.push_back(body.substr(start, plus - start));
         start = plus + 1;
     }
-    return out;
 }
 
 namespace {
@@ -100,7 +99,16 @@ runMultiCore(const std::vector<std::string> &core_workloads,
              const MultiCoreOptions &options)
 {
     const unsigned n = static_cast<unsigned>(core_workloads.size());
-    panic_if(n == 0, "runMultiCore: no core workloads");
+    // Labels come from user input (mc: grammar): reject, don't abort.
+    if (n == 0 || std::find(core_workloads.begin(), core_workloads.end(),
+                            std::string()) != core_workloads.end()) {
+        std::string label = kMultiCorePrefix;
+        for (unsigned c = 0; c < n; ++c)
+            label += (c ? "+" : "") + core_workloads[c];
+        throw SimError(ErrorCategory::BuildFailure,
+                       "runMultiCore: empty core workload in bundle '" +
+                           label + "'");
+    }
     panic_if(options.quantum == 0, "runMultiCore: zero quantum");
     panic_if(!options.coreBudgets.empty() &&
                  options.coreBudgets.size() != core_workloads.size(),
@@ -144,8 +152,8 @@ runMultiCore(const std::vector<std::string> &core_workloads,
                 trace::prepareTrace(path, opts, std::move(index));
             rt.art = std::move(trt.art);
             rt.pageTable = std::move(trt.pageTable);
-            rt.traceSource =
-                std::make_unique<trace::TraceEventSource>(path);
+            rt.traceSource = std::make_unique<trace::TraceEventSource>(
+                std::move(trt.index));
             source = rt.traceSource.get();
             // Traces carry no synthetic stall model (runTrace()).
         } else {

@@ -39,7 +39,9 @@ bool isMultiCoreName(const std::string &name);
 /**
  * The per-core workload labels of an `mc:` label, in core order.
  * Each element is a proxy name or a `trace:<path>` label; empty when
- * @p name is not a multi-core label.
+ * @p name is not a multi-core label.  An empty component (`mc:`,
+ * `mc:gcc+`, `mc:gcc++clang`) stays an empty label, which
+ * runMultiCore() rejects.
  */
 std::vector<std::string> multiCoreWorkloadsOf(const std::string &name);
 
@@ -102,7 +104,9 @@ struct MultiCoreResult
 /**
  * Run @p core_workloads (proxy names / `trace:<path>` labels, one per
  * core) against @p policy_spec (every core's L2 policy, mirroring
- * CoDesignPipeline::run) under @p options.  One core bypasses
+ * CoDesignPipeline::run) under @p options.  Throws
+ * SimError(BuildFailure) when the bundle is empty or a label is
+ * empty.  One core bypasses
  * MultiCoreHierarchy entirely -- the plain single-core CacheHierarchy
  * runs, so N=1 is bit-identical to runWorkload()/runTrace().
  */

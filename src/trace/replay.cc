@@ -1,10 +1,13 @@
 #include "trace/replay.hh"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 
 #include "core/policy_registry.hh"
 #include "sw/temperature_classifier.hh"
+#include "trace/reader.hh"
+#include "util/flat_map.hh"
 #include "util/logging.hh"
 
 namespace trrip::trace {
@@ -23,26 +26,181 @@ tracePathOf(const std::string &name)
                : std::string();
 }
 
+namespace {
+
+/** Number of memory operands of @p in (one BBEvent data slot each). */
+std::uint32_t
+accessesOf(const TraceInstr &in)
+{
+    std::uint32_t n = 0;
+    for (const std::uint64_t a : in.srcMem)
+        n += a != 0;
+    for (const std::uint64_t a : in.destMem)
+        n += a != 0;
+    return n;
+}
+
+/** The lap flag bits of an explicit branch record. */
+std::uint8_t
+branchFlags(const TraceInstr &in)
+{
+    const BranchKind kind = classifyBranch(in);
+    std::uint8_t flags = kLapHasBranch;
+    if (in.branchTaken != 0)
+        flags |= kLapTaken;
+    if (kind == BranchKind::Conditional)
+        flags |= kLapConditional;
+    if (kind == BranchKind::DirectCall ||
+        kind == BranchKind::IndirectCall) {
+        flags |= kLapCall;
+    }
+    if (kind == BranchKind::Return)
+        flags |= kLapReturn;
+    if (kind == BranchKind::IndirectJump ||
+        kind == BranchKind::IndirectCall || kind == BranchKind::Return) {
+        flags |= kLapIndirect;
+    }
+    return flags;
+}
+
+/**
+ * The block rebuild (trace/source.hh): stream one lap of @p index's
+ * file into index.lap, recording each event's block in the profile
+ * as it closes.
+ */
+void
+decodeLap(TraceIndex &index)
+{
+    TraceReader reader(index.path);
+    if (!reader.valid())
+        throw reader.makeError();
+    if (reader.recordCount() == 0) {
+        throw SimError(ErrorCategory::TraceCorrupt,
+                       "trace '" + index.path + "': empty; an event "
+                       "source needs at least one record");
+    }
+    index.recordCount = reader.recordCount();
+
+    // The next record, or nullptr at the end of the lap.  A reader
+    // can turn !valid() mid-stream (chunk corruption, trace_read
+    // fault injection); that surfaces as a thrown SimError, not as
+    // the end of the lap.  A record pointer only lives to the next
+    // call (the zstd chunk buffer is reused), so every field of a
+    // record is used before its successor is read.
+    const auto advance = [&reader]() -> const TraceInstr * {
+        const TraceInstr *rec = reader.next();
+        if (!rec && !reader.valid())
+            throw reader.makeError();
+        return rec;
+    };
+    const TraceInstr *cur = advance();  // First unconsumed record.
+    if (!cur)
+        throw reader.makeError();
+
+    FlatMap<std::uint32_t> ids(1024);  // Start ip -> block id.
+    TraceLap &lap = index.lap;
+    // Every event consumes at least one record, so the event array
+    // never reallocates; the reserved tail past the lap's end is never
+    // touched, so it costs address space, not resident memory.
+    lap.events.reserve(index.recordCount);
+    lap.data.reserve(index.recordCount);
+    while (cur) {
+        // cur starts the block.
+        auto [slot, inserted] = ids.tryEmplace(cur->ip);
+        if (inserted) {
+            *slot = static_cast<std::uint32_t>(index.blocks.size());
+            index.blocks.push_back(TraceBlockInfo{cur->ip, 0, 0});
+        }
+        const std::uint32_t bb = *slot;
+        const Addr start = cur->ip;
+        const std::size_t dataBegin = lap.data.size();
+        if (dataBegin > std::numeric_limits<std::uint32_t>::max()) {
+            throw SimError(ErrorCategory::TraceCorrupt,
+                           "trace '" + index.path +
+                               "': too many data accesses to index");
+        }
+        std::uint32_t instrs = 0;
+        std::uint32_t bytes = 0;
+        std::uint32_t numData = 0;
+        std::uint16_t branchPcOffset = 0;
+        std::uint8_t flags = 0;
+
+        while (true) {
+            // Split BEFORE the instruction that would overflow the
+            // data slots or the block-length cap: a pure fall-through
+            // seam (no branch), so no access is ever dropped.
+            // ChampSim caps an instruction at 4 loads + 2 stores, so
+            // one always fits an empty event.
+            const std::uint32_t accesses = accessesOf(*cur);
+            if (instrs > 0 && (numData + accesses > kBBEventDataSlots ||
+                               instrs >= kMaxBlockInstrs)) {
+                break;
+            }
+
+            // Consume cur.
+            const Addr ip = cur->ip;
+            const auto offset = static_cast<std::uint16_t>(ip - start);
+            for (const std::uint64_t a : cur->srcMem) {
+                if (a != 0)
+                    lap.data.push_back(LapAccess{a, offset, false});
+            }
+            for (const std::uint64_t a : cur->destMem) {
+                if (a != 0)
+                    lap.data.push_back(LapAccess{a, offset, true});
+            }
+            const std::uint8_t branch =
+                cur->isBranch ? branchFlags(*cur) : 0;
+            instrs += 1;
+            numData += accesses;
+
+            // One-record lookahead: the instruction's size, and where
+            // a taken branch lands, come from the successor's ip.
+            cur = advance();
+            const std::uint64_t delta = cur ? cur->ip - ip : 0;
+            const bool contiguous =
+                cur && delta > 0 && delta <= kMaxInstrBytes;
+            bytes += contiguous ? static_cast<std::uint32_t>(delta) : 4;
+
+            if (branch) {
+                // The wrap seam is always taken (to the trace start).
+                flags = branch | (cur ? 0 : kLapTaken);
+                branchPcOffset = offset;
+                break;
+            }
+            if (!cur || !contiguous) {
+                // End of trace or an ip discontinuity between
+                // non-branch records (sampled trace): an implicit
+                // taken direct jump.
+                flags = kLapHasBranch | kLapTaken;
+                branchPcOffset = offset;
+                break;
+            }
+        }
+
+        lap.events.push_back(LapEvent{
+            bb, static_cast<std::uint32_t>(dataBegin),
+            static_cast<std::uint16_t>(bytes), branchPcOffset,
+            static_cast<std::uint8_t>(instrs),
+            static_cast<std::uint8_t>(numData), flags});
+        index.profile.record(bb);
+        index.passInstructions += instrs;
+        // First-appearance snapshot of the block's shape.
+        TraceBlockInfo &info = index.blocks[bb];
+        if (info.instrs == 0) {
+            info.instrs = instrs;
+            info.bytes = bytes;
+        }
+    }
+}
+
+} // namespace
+
 TraceIndex
 buildTraceIndex(const std::string &path)
 {
     TraceIndex index;
     index.path = path;
-
-    // One streaming lap: the wrap seam is detected while the lap's
-    // final event is being built, so that event still belongs to the
-    // lap and is counted before the loop exits.
-    TraceEventSource source(path);
-    index.recordCount = source.recordCount();
-    BBEvent ev;
-    while (true) {
-        source.next(ev);
-        index.profile.record(ev.bb);
-        index.passInstructions += ev.instrs;
-        if (source.passes() >= 1)
-            break;
-    }
-    index.blocks = source.blocks();
+    decodeLap(index);
 
     // Pseudo-program: one single-block Handler function per block, so
     // classifyTemperature() sees the same (Program, Profile) shape a
@@ -232,7 +390,7 @@ runTrace(const std::string &path, const std::string &policy_spec,
     if (opts.reuse)
         hier.setL2Observer(opts.reuse);
 
-    TraceEventSource source(path);
+    TraceEventSource source(rt.index);
     BackendParams backend;  // Traces carry no synthetic stall model.
     CoreModel core(source, hier, mmu, branch, opts.core, backend);
     core.setCostlyTracker(opts.costly);

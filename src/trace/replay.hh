@@ -6,19 +6,22 @@
  *
  * A TraceIndex is the trace's analogue of (Program, training
  * Profile): one streaming pre-pass over the trace reconstructs every
- * block, counts its executions, and builds a pseudo-Program (one
- * single-block function per discovered block) so the unchanged
- * temperature classifier -- paper Eqs. 1-2 -- works on traces.  The
- * index depends only on the file, never on the policy or cache
- * configuration under test, so exp::ProfileCache shares one index
- * across a whole grid.
+ * block, keeps the decoded lap, counts each block's executions, and
+ * builds a pseudo-Program (one single-block function per discovered
+ * block) so the unchanged temperature classifier -- paper Eqs. 1-2 --
+ * works on traces.  The index depends only on the file, never on the
+ * policy or cache configuration under test, so exp::ProfileCache
+ * shares one index across a whole grid.  The pre-pass is the only
+ * reader of the file: replay expands the index's lap and never maps
+ * or parses records again.
  *
  * runTrace() then mirrors the numbered Fig. 4 flow: classify block
  * temperatures from the index profile, stamp PTE attribute bits for
  * every touched code page (sparse-safe: pages are enumerated from the
  * blocks, not from the address-space span), and drive CoreModel from
- * a fresh TraceEventSource.  Replay is bit-deterministic: the same
- * file and options produce the identical SimResult on any thread.
+ * a fresh TraceEventSource over the index.  Replay is
+ * bit-deterministic: the same file and options produce the identical
+ * SimResult on any thread.
  */
 
 #ifndef TRRIP_TRACE_REPLAY_HH
@@ -46,6 +49,9 @@ struct TraceIndex
 {
     std::string path;
     std::vector<TraceBlockInfo> blocks;   //!< By block id.
+    /** One lap of the event stream, decoded; every replay of the
+     *  trace expands it. */
+    TraceLap lap;
     /** Block execution counts over exactly one pass of the trace. */
     Profile profile;
     /** Pseudo-program for the classifier: block id i is the only
@@ -57,7 +63,8 @@ struct TraceIndex
 };
 
 /**
- * Stream the trace once and build its index.  Throws
+ * Stream the trace once, rebuilding its blocks, and build its index
+ * (the only place records are decoded).  Throws
  * SimError(TraceCorrupt) on a missing, corrupt or empty file -- a
  * contained per-cell failure the experiment layer's OnError policy
  * handles (probe untrusted files with TraceReader to avoid the

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/runner.hh"
 #include "sim/golden.hh"
 #include "sim/multicore.hh"
 #include "trace/generate.hh"
@@ -53,6 +54,64 @@ TEST(MultiCoreName, ParsesBundleLabels)
     EXPECT_EQ(four[3], "sqlite");
 
     EXPECT_TRUE(multiCoreWorkloadsOf("python").empty());
+}
+
+/** `mc:` labels with an empty component: each must be rejected. */
+const std::vector<std::string> kEmptyComponentLabels = {
+    "mc:", "mc:+", "mc:gcc+", "mc:+gcc", "mc:gcc++clang"};
+
+TEST(MultiCoreName, EmptyComponentsStayEmptyLabels)
+{
+    EXPECT_EQ(multiCoreWorkloadsOf("mc:"),
+              std::vector<std::string>({""}));
+    EXPECT_EQ(multiCoreWorkloadsOf("mc:+"),
+              std::vector<std::string>({"", ""}));
+    EXPECT_EQ(multiCoreWorkloadsOf("mc:gcc+"),
+              std::vector<std::string>({"gcc", ""}));
+    EXPECT_EQ(multiCoreWorkloadsOf("mc:+gcc"),
+              std::vector<std::string>({"", "gcc"}));
+    EXPECT_EQ(multiCoreWorkloadsOf("mc:gcc++clang"),
+              std::vector<std::string>({"gcc", "", "clang"}));
+}
+
+TEST(MultiCoreName, EmptyComponentIsABuildFailure)
+{
+    MultiCoreOptions mo;
+    mo.base.maxInstructions = 10'000;
+    for (const std::string &label : kEmptyComponentLabels) {
+        try {
+            runMultiCore(multiCoreWorkloadsOf(label), "SRRIP", mo);
+            ADD_FAILURE() << label << " ran instead of throwing";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.category(), ErrorCategory::BuildFailure)
+                << label << ": " << e.what();
+        }
+    }
+    EXPECT_THROW(runMultiCore({}, "SRRIP", mo), SimError);
+}
+
+TEST(MultiCoreName, EmptyComponentBecomesAnErrorRowUnderSkip)
+{
+    exp::ExperimentSpec spec;
+    spec.name = "mc_empty_component";
+    spec.workloads = kEmptyComponentLabels;
+    spec.workloads.push_back("mc:gcc");  // The one well-formed cell.
+    spec.policies = {"SRRIP"};
+    spec.options.maxInstructions = 20'000;
+    spec.options.profileInstructions = 10'000;
+    spec.onError.mode = exp::OnError::Mode::Skip;
+
+    exp::ExperimentRunner runner(2);
+    const exp::ExperimentResults results = runner.run(spec, {});
+    ASSERT_EQ(results.cells().size(), spec.workloads.size());
+    for (const exp::CellRecord &rec : results.cells()) {
+        if (rec.workload == "mc:gcc") {
+            EXPECT_FALSE(rec.failed) << rec.errorMessage;
+            continue;
+        }
+        EXPECT_TRUE(rec.failed) << rec.workload;
+        EXPECT_EQ(rec.errorCategory, "build_failure") << rec.workload;
+    }
 }
 
 // ---------------------------------- hand-computed interleaving cases

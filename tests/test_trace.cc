@@ -2,28 +2,36 @@
  * @file
  * Trace subsystem tests: container writer/reader round trips,
  * corrupt-file rejection, the BBEvent data-slot block-split seam, the
- * batched produce() contract, wrap/pass accounting, the mini-trace
- * pack's byte-identical regeneration, and the trace:<path> workload
- * scheme through the experiment layer.
+ * batched produce() contract, wrap/pass accounting, replay of the
+ * index's decoded lap against a reference decode of the records, one
+ * index shared by many readers, the mini-trace pack's byte-identical
+ * regeneration, and the trace:<path> workload scheme through the
+ * experiment layer.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exp/profile_cache.hh"
 #include "exp/runner.hh"
+#include "sim/golden.hh"
+#include "sim/multicore.hh"
 #include "trace/format.hh"
 #include "trace/generate.hh"
 #include "trace/reader.hh"
 #include "trace/replay.hh"
 #include "trace/source.hh"
 #include "trace/writer.hh"
+#include "util/flat_map.hh"
 
 namespace trrip::trace {
 namespace {
@@ -250,6 +258,46 @@ writeGatherTrace(const std::string &file, int gather)
     EXPECT_TRUE(writer.ok()) << writer.error();
 }
 
+/**
+ * Write a short trace with one branch of every kind, an unrecorded
+ * jump (an ip discontinuity) and a not-taken conditional branch as
+ * its last record, so the lap's wrap seam ends on a branch that the
+ * trace itself did not take.
+ */
+void
+writeBranchMixTrace(const std::string &file)
+{
+    TraceWriter writer(file, TraceCodec::Raw, 4);
+    const auto branch = [&](std::uint64_t ip, bool taken,
+                            std::vector<std::uint8_t> dest,
+                            std::vector<std::uint8_t> src) {
+        TraceInstr in;
+        in.ip = ip;
+        in.isBranch = 1;
+        in.branchTaken = taken;
+        std::copy(dest.begin(), dest.end(), in.destRegs);
+        std::copy(src.begin(), src.end(), in.srcRegs);
+        writer.append(in);
+    };
+    const std::uint8_t ip = kRegInstructionPointer;
+    const std::uint8_t sp = kRegStackPointer;
+    writer.append(plainAt(0x1000, 0x9000));
+    writer.append(plainAt(0x1004));
+    branch(0x1008, true, {ip}, {kRegFlags});         // Conditional.
+    TraceInstr store = plainAt(0x2000);
+    store.destMem[0] = 0xa000;
+    writer.append(store);
+    branch(0x2004, true, {ip, sp}, {ip, sp});         // Direct call.
+    writer.append(plainAt(0x3000, 0x9008));
+    branch(0x3004, true, {ip, sp}, {sp});             // Return.
+    writer.append(plainAt(0x2008));
+    writer.append(plainAt(0x5000));                   // Unrecorded jump.
+    branch(0x5004, true, {ip}, {5});                  // Indirect jump.
+    branch(0x6000, false, {ip}, {kRegFlags});         // Not taken, last.
+    writer.finish();
+    EXPECT_TRUE(writer.ok()) << writer.error();
+}
+
 TEST_F(TraceTest, BlockWithMoreAccessesThanEventSlotsIsSplit)
 {
     // 5 x 4 = 20 accesses in one static block: more than
@@ -292,43 +340,318 @@ TEST_F(TraceTest, BlockWithMoreAccessesThanEventSlotsIsSplit)
     EXPECT_EQ(source.passes(), 1u);
 }
 
-TEST_F(TraceTest, ProduceMatchesEventAtATimeReplay)
+/**
+ * Test-local reference for the block rebuild, written directly over
+ * TraceReader: one event per call, re-reading the records on every
+ * lap, so replay of the index's decoded lap is checked against the
+ * records themselves rather than against another replay.
+ */
+class ReferenceDecoder
 {
-    generateMiniTrace("dispatch", path("dispatch.trrtrc"));
-    TraceEventSource batched(path("dispatch.trrtrc"));
-    TraceEventSource single(path("dispatch.trrtrc"));
+  public:
+    explicit ReferenceDecoder(const std::string &file) : reader_(file)
+    {
+        const TraceInstr *first = reader_.valid() ? reader_.next()
+                                                  : nullptr;
+        if (!first)
+            throw reader_.makeError();
+        cur_ = *first;
+        firstIp_ = cur_.ip;
+    }
 
-    // Drive the batched source through the ring contract with awkward
-    // batch sizes and wrap-around positions.
-    constexpr std::uint32_t kRing = 64;
-    std::vector<BBEvent> ring(kRing);
-    std::uint32_t pos = 0;
-    const std::uint32_t batches[] = {1, 7, 64, 13, 32, 64, 5, 50};
-    for (const std::uint32_t count : batches) {
-        batched.produce(ring.data(), kRing - 1, pos, count);
-        for (std::uint32_t k = 0; k < count; ++k) {
-            const BBEvent &got = ring[(pos + k) & (kRing - 1)];
-            BBEvent want;
-            single.next(want);
-            ASSERT_EQ(got.bb, want.bb);
-            ASSERT_EQ(got.vaddr, want.vaddr);
-            ASSERT_EQ(got.instrs, want.instrs);
-            ASSERT_EQ(got.bytes, want.bytes);
-            ASSERT_EQ(got.hasBranch, want.hasBranch);
-            ASSERT_EQ(got.numData, want.numData);
-            for (std::uint8_t d = 0; d < got.numData; ++d) {
-                ASSERT_EQ(got.data[d].vaddr, want.data[d].vaddr);
-                ASSERT_EQ(got.data[d].isStore, want.data[d].isStore);
+    void
+    next(BBEvent &ev)
+    {
+        ev = BBEvent{};
+        auto [slot, inserted] = ids_.tryEmplace(cur_.ip);
+        if (inserted) {
+            *slot = static_cast<std::uint32_t>(blocks_.size());
+            blocks_.push_back(TraceBlockInfo{cur_.ip, 0, 0});
+        }
+        ev.bb = *slot;
+        ev.vaddr = cur_.ip;
+        while (true) {
+            std::uint32_t accesses = 0;
+            for (const std::uint64_t a : cur_.srcMem)
+                accesses += a != 0;
+            for (const std::uint64_t a : cur_.destMem)
+                accesses += a != 0;
+            if (ev.instrs > 0 &&
+                (ev.numData + accesses > kBBEventDataSlots ||
+                 ev.instrs >= kMaxBlockInstrs)) {
+                break;
             }
-            if (got.hasBranch) {
-                ASSERT_EQ(got.branch.pc, want.branch.pc);
-                ASSERT_EQ(got.branch.target, want.branch.target);
-                ASSERT_EQ(got.branch.taken, want.branch.taken);
+            const TraceInstr in = cur_;
+            const bool wrapped = advance();
+            const std::uint64_t delta = cur_.ip - in.ip;
+            const bool contiguous =
+                !wrapped && delta > 0 && delta <= kMaxInstrBytes;
+            ev.instrs += 1;
+            ev.bytes += contiguous ? static_cast<std::uint32_t>(delta)
+                                   : 4;
+            const auto push = [&](std::uint64_t a, bool store) {
+                DataAccessEvent &d = ev.data.at(ev.numData++);
+                d.vaddr = a;
+                d.pc = in.ip;
+                d.isStore = store;
+            };
+            for (const std::uint64_t a : in.srcMem) {
+                if (a != 0)
+                    push(a, false);
+            }
+            for (const std::uint64_t a : in.destMem) {
+                if (a != 0)
+                    push(a, true);
+            }
+            if (in.isBranch || wrapped || !contiguous) {
+                const BranchKind kind = classifyBranch(in);
+                ev.hasBranch = true;
+                ev.branch.pc = in.ip;
+                ev.branch.target = wrapped ? firstIp_ : cur_.ip;
+                ev.branch.taken =
+                    wrapped || !in.isBranch || in.branchTaken != 0;
+                ev.branch.conditional =
+                    kind == BranchKind::Conditional;
+                ev.branch.isCall = kind == BranchKind::DirectCall ||
+                                   kind == BranchKind::IndirectCall;
+                ev.branch.isReturn = kind == BranchKind::Return;
+                ev.branch.isIndirect =
+                    kind == BranchKind::IndirectJump ||
+                    kind == BranchKind::IndirectCall ||
+                    kind == BranchKind::Return;
+                break;
             }
         }
-        pos = (pos + count) & (kRing - 1);
+        TraceBlockInfo &info = blocks_[ev.bb];
+        if (info.instrs == 0) {
+            info.instrs = ev.instrs;
+            info.bytes = ev.bytes;
+        }
     }
-    EXPECT_EQ(batched.passes(), single.passes());
+
+    std::uint64_t passes() const { return passes_; }
+    const std::vector<TraceBlockInfo> &blocks() const { return blocks_; }
+
+  private:
+    /** Step cur_ to the next record; true when the trace wrapped. */
+    bool
+    advance()
+    {
+        if (const TraceInstr *rec = reader_.next()) {
+            cur_ = *rec;
+            return false;
+        }
+        ++passes_;
+        reader_.reset();
+        const TraceInstr *rec = reader_.next();
+        if (!rec)
+            throw reader_.makeError();
+        cur_ = *rec;
+        return true;
+    }
+
+    TraceReader reader_;
+    TraceInstr cur_;
+    Addr firstIp_ = 0;
+    std::uint64_t passes_ = 0;
+    FlatMap<std::uint32_t> ids_{64};
+    std::vector<TraceBlockInfo> blocks_;
+};
+
+void
+expectSameEvent(const BBEvent &got, const BBEvent &want,
+                const std::string &where)
+{
+    ASSERT_EQ(got.bb, want.bb) << where;
+    ASSERT_EQ(got.vaddr, want.vaddr) << where;
+    ASSERT_EQ(got.instrs, want.instrs) << where;
+    ASSERT_EQ(got.bytes, want.bytes) << where;
+    ASSERT_EQ(got.fdipMispredict, false) << where;
+    ASSERT_EQ(got.numData, want.numData) << where;
+    for (std::uint8_t d = 0; d < got.numData; ++d) {
+        ASSERT_EQ(got.data[d].vaddr, want.data[d].vaddr) << where;
+        ASSERT_EQ(got.data[d].pc, want.data[d].pc) << where;
+        ASSERT_EQ(got.data[d].isStore, want.data[d].isStore) << where;
+        ASSERT_EQ(got.data[d].dependent, want.data[d].dependent)
+            << where;
+    }
+    ASSERT_EQ(got.hasBranch, want.hasBranch) << where;
+    if (!got.hasBranch)
+        return;
+    ASSERT_EQ(got.branch.pc, want.branch.pc) << where;
+    ASSERT_EQ(got.branch.target, want.branch.target) << where;
+    ASSERT_EQ(got.branch.taken, want.branch.taken) << where;
+    ASSERT_EQ(got.branch.conditional, want.branch.conditional) << where;
+    ASSERT_EQ(got.branch.isCall, want.branch.isCall) << where;
+    ASSERT_EQ(got.branch.isReturn, want.branch.isReturn) << where;
+    ASSERT_EQ(got.branch.isIndirect, want.branch.isIndirect) << where;
+    ASSERT_EQ(got.branch.temp, want.branch.temp) << where;
+}
+
+void
+expectSameBlocks(std::span<const TraceBlockInfo> got,
+                 const std::vector<TraceBlockInfo> &want,
+                 const std::string &where)
+{
+    ASSERT_EQ(got.size(), want.size()) << where;
+    for (std::size_t b = 0; b < got.size(); ++b) {
+        ASSERT_EQ(got[b].addr, want[b].addr) << where << " block " << b;
+        ASSERT_EQ(got[b].instrs, want[b].instrs)
+            << where << " block " << b;
+        ASSERT_EQ(got[b].bytes, want[b].bytes)
+            << where << " block " << b;
+    }
+}
+
+TEST_F(TraceTest, ReplayMatchesAReferenceDecodeOverThreeLaps)
+{
+    const auto pack = generateMiniTracePack(path("pack"));
+    const std::string gather = path("gather.trrtrc");
+    writeGatherTrace(gather, 5);  // 20 accesses: the split seam.
+    const std::string mix = path("branch_mix.trrtrc");
+    writeBranchMixTrace(mix);
+
+    constexpr std::uint64_t kLaps = 3;
+    for (const std::string &file : {pack[0], pack[1], gather, mix}) {
+        SCOPED_TRACE(file);
+        // Event at a time: fields, passes() after every event and
+        // blocks() mid-lap and at each lap boundary.
+        {
+            ReferenceDecoder ref(file);
+            TraceEventSource source(file);
+            std::uint64_t events = 0;
+            while (ref.passes() < kLaps) {
+                BBEvent want;
+                ref.next(want);
+                BBEvent got;
+                source.next(got);
+                const std::string where =
+                    "event " + std::to_string(events++);
+                expectSameEvent(got, want, where);
+                ASSERT_EQ(source.passes(), ref.passes()) << where;
+                if (events == 2 || source.passes() != ref.passes() ||
+                    want.vaddr == ref.blocks()[0].addr) {
+                    expectSameBlocks(source.blocks(), ref.blocks(),
+                                     where);
+                }
+            }
+            EXPECT_EQ(source.passes(), kLaps);
+            expectSameBlocks(source.blocks(), ref.blocks(), "end");
+        }
+        // Batched through the ring contract with awkward sizes and
+        // wrap-around positions.
+        {
+            ReferenceDecoder ref(file);
+            TraceEventSource source(file);
+            constexpr std::uint32_t kRing = 64;
+            std::vector<BBEvent> ring(kRing);
+            const std::uint32_t batches[] = {1, 7, 64, 13, 32, 5, 50};
+            std::uint32_t pos = 0;
+            for (std::size_t b = 0; ref.passes() < kLaps; ++b) {
+                const std::uint32_t count = batches[b % 7];
+                source.produce(ring.data(), kRing - 1, pos, count);
+                for (std::uint32_t k = 0; k < count; ++k) {
+                    BBEvent want;
+                    ref.next(want);
+                    expectSameEvent(ring[(pos + k) & (kRing - 1)], want,
+                                    "batch " + std::to_string(b));
+                }
+                ASSERT_EQ(source.passes(), ref.passes());
+                pos = (pos + count) & (kRing - 1);
+            }
+        }
+    }
+}
+
+TEST_F(TraceTest, OneSharedIndexServesManyReaders)
+{
+    const auto pack = generateMiniTracePack(path("pack"));
+    SimOptions options;
+    options.maxInstructions = 120'000;
+    const std::vector<std::string> bundle = {
+        kTracePrefix + pack[0], kTracePrefix + pack[1],
+        kTracePrefix + pack[0], kTracePrefix + pack[1]};
+
+    // References: every run builds its own private index.
+    const std::uint64_t wantTrace = goldenFingerprint(
+        runTrace(pack[0], "TRRIP-2", options).result);
+    MultiCoreOptions mo;
+    mo.base = options;
+    mo.quantum = 5'000;
+    const std::uint64_t wantBundle =
+        multiCoreFingerprint(runMultiCore(bundle, "TRRIP-2", mo));
+
+    // One index per trace, read concurrently by two runTrace calls and
+    // all four lanes of the bundle.
+    const auto dispatch = std::make_shared<const TraceIndex>(
+        buildTraceIndex(pack[0]));
+    const auto streaming = std::make_shared<const TraceIndex>(
+        buildTraceIndex(pack[1]));
+    mo.traceIndexProvider = [&](const std::string &p) {
+        return p == pack[0] ? dispatch : streaming;
+    };
+    std::uint64_t gotTrace = 0;
+    std::uint64_t gotBundle = 0;
+    std::string error;
+    std::thread traceThread([&] {
+        try {
+            gotTrace = goldenFingerprint(
+                runTrace(pack[0], "TRRIP-2", options, dispatch).result);
+        } catch (const std::exception &e) {
+            error = e.what();
+        }
+    });
+    std::thread bundleThread([&] {
+        try {
+            gotBundle = multiCoreFingerprint(
+                runMultiCore(bundle, "TRRIP-2", mo));
+        } catch (const std::exception &e) {
+            error = e.what();
+        }
+    });
+    const std::uint64_t gotHere = goldenFingerprint(
+        runTrace(pack[0], "TRRIP-2", options, dispatch).result);
+    traceThread.join();
+    bundleThread.join();
+    ASSERT_TRUE(error.empty()) << error;
+    EXPECT_EQ(gotTrace, wantTrace);
+    EXPECT_EQ(gotHere, wantTrace);
+    EXPECT_EQ(gotBundle, wantBundle);
+}
+
+TEST_F(TraceTest, BadTraceFailsInTheIndexPrePass)
+{
+    const std::string missing = path("no_such_file.trrtrc");
+    const std::string corrupt = path("corrupt.trrtrc");
+    std::ofstream(corrupt, std::ios::binary) << "trriptrc";
+    for (const std::string &file : {missing, corrupt}) {
+        try {
+            buildTraceIndex(file);
+            ADD_FAILURE() << file << " indexed";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.category(), ErrorCategory::TraceCorrupt)
+                << e.what();
+        }
+        EXPECT_THROW(TraceEventSource{file}, SimError);
+    }
+
+    // Through the experiment layer: contained trace_corrupt rows for
+    // single-core cells and for a bundle lane alike.
+    exp::ExperimentSpec spec;
+    spec.name = "bad_traces";
+    spec.workloads = {kTracePrefix + missing, kTracePrefix + corrupt,
+                      "mc:gcc+" + (kTracePrefix + corrupt)};
+    spec.policies = {"SRRIP"};
+    spec.options.maxInstructions = 20'000;
+    spec.options.profileInstructions = 10'000;
+    spec.onError.mode = exp::OnError::Mode::Skip;
+    exp::ExperimentRunner runner(1);
+    const exp::ExperimentResults results = runner.run(spec, {});
+    ASSERT_EQ(results.cells().size(), 3u);
+    for (const exp::CellRecord &rec : results.cells()) {
+        EXPECT_TRUE(rec.failed) << rec.workload;
+        EXPECT_EQ(rec.errorCategory, "trace_corrupt") << rec.workload;
+    }
 }
 
 TEST_F(TraceTest, MiniPackRegeneratesByteIdentically)
