@@ -160,7 +160,7 @@ main()
     all_ok = all_ok && golden_matched == golden_total;
 
     // A mixed proxy+trace grid, small enough to iterate on but wide
-    // enough that every injection site is live: pipeline builds
+    // enough that every injection site is live: workload builds
     // (proxy workloads), trace chunk reads (trace workloads), cell
     // compute, and journal writes (the sink_write site, exercised by
     // attaching a run journal below).
@@ -203,9 +203,11 @@ main()
     // to fire constantly yet low enough that 8 attempts converge
     // (attempts re-roll the draw, so a p-rate fault leaves ~p^8
     // residual per cell).
+    // The build site draws once per proxy workload request (four per
+    // grid attempt), so its seed is one whose draws fail a cell.
     const std::vector<FaultConfig> matrix = {
         {"cell:1/4,seed=7", 1},
-        {"trace_read:1/128,build:1/4,seed=11", 2},
+        {"trace_read:1/128,build:1/4,seed=13", 2},
         {"cell:1/5,trace_read:1/256,build:1/6,sink_write:1/3,seed=13", 4},
     };
     int sites_injected = 0;

@@ -55,21 +55,6 @@ class CoDesignPipeline
     }
 
     /**
-     * Profile-reuse entry point: run with an externally cached
-     * training profile (see exp::ProfileCache), bypassing this
-     * pipeline's own per-budget cache entirely.
-     */
-    RunArtifacts
-    run(const std::string &policy_spec, const SimOptions &options,
-        std::shared_ptr<const Profile> profile) const
-    {
-        SimOptions opts = options;
-        opts.hier.l2Policy = PolicySpec(policy_spec);
-        opts.precomputedProfile = std::move(profile);
-        return runWorkload(workload_, opts);
-    }
-
-    /**
      * The training profile for @p profile_instructions, collected on
      * first use and shared (never copied) afterwards.  Thread-safe:
      * concurrent callers for the same budget get the same Profile.
@@ -85,7 +70,6 @@ class CoDesignPipeline
         }
         return cachedProfile_;
     }
-
 
     /**
      * Speedup of @p policy_name over @p baseline_name in percent

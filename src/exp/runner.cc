@@ -11,9 +11,9 @@
 #include "exp/journal.hh"
 #include "exp/sink.hh"
 #include "sim/multicore.hh"
-#include "trace/replay.hh"
 #include "util/fault.hh"
 #include "util/logging.hh"
+#include "workloads/builder.hh"
 
 namespace trrip::exp {
 
@@ -110,7 +110,7 @@ namespace detail {
 /**
  * Everything one submitted grid carries through the pool.  Shared by
  * the batch item closures and the PendingRun handle; the closures are
- * dropped when each batch completes, so the only reference left after
+ * dropped when the batch completes, so the only reference left after
  * wait() is the caller's.
  */
 struct RunState
@@ -121,16 +121,21 @@ struct RunState
     std::vector<std::size_t> live;  //!< Record indices to execute.
     std::vector<ResultSink *> sinks;
 
+    /** One proxy workload, built at most once per submit. */
+    struct BuiltWorkload
+    {
+        std::once_flag once;
+        std::shared_ptr<const SyntheticWorkload> workload;
+    };
+
     /**
-     * Per-workload pipelines, built exactly once on whichever worker
-     * touches a workload first (a dedicated build batch races the
-     * cells; std::call_once de-duplicates).  The pipeline object is
-     * carved from the building worker's arena and destroyed when the
-     * run's last batch completes -- before the batch retires, which
-     * is what keeps WorkerPool::resetArenasIfIdle() sound.
+     * Proxy label -> its build, shared by every cell and mc: lane of
+     * this submit that names the label; dropped when the grid
+     * completes.  Guarded by workloadsMutex (map nodes are stable, so
+     * a slot is used outside the lock).
      */
-    std::unique_ptr<std::once_flag[]> buildOnce;
-    std::vector<Arena::UniquePtr<CoDesignPipeline>> pipelines;
+    std::mutex workloadsMutex;
+    std::map<std::string, BuiltWorkload> workloads;
 
     ProfileCache *profiles = nullptr;
     bool reuseProfiles = true;
@@ -160,48 +165,44 @@ struct RunState
     std::size_t firstErrorIndex = ~std::size_t(0);
     std::unique_ptr<SimError> firstError;
 
-    /** Build batch + cell batch still outstanding. */
-    std::atomic<int> phasesRemaining{0};
-    std::shared_ptr<WorkerPool::Batch> buildBatch;
-    std::shared_ptr<WorkerPool::Batch> cellBatch;
+    std::shared_ptr<WorkerPool::Batch> batch;
 
-    void
-    ensurePipeline(std::size_t workload, WorkerContext &wc)
+    /** The workload provider behind every simulation cell. */
+    std::shared_ptr<const SyntheticWorkload>
+    workload(const std::string &label)
     {
-        // Trace workloads have no synthesis pipeline; their shared
-        // state (the TraceIndex) lives in the ProfileCache instead.
-        // Multi-core bundles build their per-core workloads inside
-        // runMultiCore (profiles still shared through the cache).
-        if (trace::isTraceName(spec.workloads[workload]) ||
-            isMultiCoreName(spec.workloads[workload])) {
-            return;
+        // The build injection site.  Every request draws, not just
+        // the one that builds, so a cell's build faults depend only
+        // on the cell and attempt, never on which cell won the race
+        // to build.
+        FaultInjector::instance().maybeInject(FaultSite::Build);
+        BuiltWorkload *slot;
+        {
+            std::lock_guard<std::mutex> lock(workloadsMutex);
+            slot = &workloads[label];
         }
-        std::call_once(buildOnce[workload], [&] {
-            // The build injection site.  A throw leaves the once
-            // flag unset, so the next cell needing this workload
-            // (or this cell's next attempt) rebuilds.
-            FaultInjector::instance().maybeInject(FaultSite::Build);
+        std::call_once(slot->once, [&] {
+            // A throw leaves the once flag unset, so the next cell
+            // needing this workload (or this cell's next attempt)
+            // rebuilds.
             try {
-                pipelines[workload] =
-                    wc.arena->makeUnique<CoDesignPipeline>(
-                        paramsFor(spec.workloads[workload]));
+                slot->workload = std::make_shared<const SyntheticWorkload>(
+                    buildWorkload(paramsFor(label)));
             } catch (const SimError &) {
                 throw;
             } catch (const std::exception &e) {
                 throw SimError(ErrorCategory::BuildFailure, e.what())
-                    .withContext("building pipeline for workload " +
-                                 spec.workloads[workload]);
+                    .withContext("building workload " + label);
             }
         });
+        return slot->workload;
     }
 
-    /** Called as each batch completes; the last one finalizes. */
+    /** Called once the grid's batch completes. */
     void
-    finishPhase()
+    finish()
     {
-        if (phasesRemaining.fetch_sub(1) != 1)
-            return;
-        pipelines.clear();
+        workloads.clear();
         wallSeconds =
             std::chrono::duration<double>(
                 std::chrono::steady_clock::now() - t0)
@@ -211,6 +212,64 @@ struct RunState
         // run() they are exact, as before.
         collectionsDelta = profiles->collections() - collectionsBefore;
         hitsDelta = profiles->hits() - hitsBefore;
+    }
+
+    /**
+     * Every simulation cell is one runMultiCore() call: a proxy or
+     * trace label runs as the one-lane bundle {label} (bit-identical
+     * to runWorkload()/runTrace()), an mc: label as its components.
+     * Workloads come from this submit's build map; training profiles
+     * and trace indexes from the shared cache.
+     */
+    CellOutcome
+    simulate(const CellContext &ctx)
+    {
+        MultiCoreOptions mo;
+        mo.base = ctx.options;
+        mo.workloadProvider = [this](const std::string &label) {
+            return workload(label);
+        };
+        // Without reuse every cell repeats its instrumented run and
+        // trace pre-pass (the no-cache worst case).
+        if (reuseProfiles) {
+            ProfileCache *cache = profiles;
+            mo.profileProvider = [cache](const SyntheticWorkload &w,
+                                         InstCount budget) {
+                return cache->get(w, budget);
+            };
+            mo.traceIndexProvider = [cache](const std::string &path) {
+                return cache->traceIndex(path);
+            };
+        }
+        const bool bundle = isMultiCoreName(ctx.workload);
+        MultiCoreResult mc = runMultiCore(
+            bundle ? multiCoreWorkloadsOf(ctx.workload)
+                   : std::vector<std::string>{ctx.workload},
+            ctx.policy, mo);
+
+        CellOutcome outcome;
+        if (!bundle) {
+            outcome.artifacts = std::move(mc.cores[0]);
+            outcome.metrics = defaultMetrics(outcome.artifacts.result);
+            return outcome;
+        }
+        const SimResult agg = aggregateMultiCore(mc);
+        outcome.metrics = defaultMetrics(agg);
+        for (std::size_t core = 0; core < mc.cores.size(); ++core) {
+            const std::string prefix = "core" + std::to_string(core) + "_";
+            for (const auto &[key, value] :
+                 defaultMetrics(mc.cores[core].result)) {
+                outcome.metrics[prefix + key] = value;
+            }
+        }
+        outcome.metrics["dram_reads"] = static_cast<double>(mc.dramReads);
+        outcome.metrics["dram_writes"] =
+            static_cast<double>(mc.dramWrites);
+        // The record keeps core 0's software artifacts (layout,
+        // profile, resolved policies) with the aggregate result.
+        outcome.artifacts = std::move(mc.cores[0]);
+        outcome.artifacts.result = agg;
+        return outcome;
     }
 
     void
@@ -238,90 +297,10 @@ struct RunState
         ctx.options.cancel = wc.cancel;
         if (spec.hooks)
             rec.hook = spec.hooks(ctx.options, ctx.id);
-        if (!spec.runCell)
-            ensurePipeline(ctx.id.workload, wc);
-        ctx.pipeline = pipelines.empty()
-                           ? nullptr
-                           : pipelines[ctx.id.workload].get();
         ctx.profiles = profiles;
 
-        CellOutcome outcome;
-        if (spec.runCell) {
-            outcome = spec.runCell(ctx);
-        } else if (isMultiCoreName(ctx.workload)) {
-            // mc:a+b+... cells run one shared-SLC bundle; training
-            // profiles and trace indexes are shared through the same
-            // cache as single-core cells.
-            MultiCoreOptions mo;
-            mo.base = ctx.options;
-            mo.paramsFor = paramsFor;
-            if (reuseProfiles) {
-                ProfileCache *cache = profiles;
-                mo.profileProvider =
-                    [cache](const SyntheticWorkload &w,
-                            InstCount budget) {
-                        return cache->get(w, budget);
-                    };
-                mo.traceIndexProvider =
-                    [cache](const std::string &path) {
-                        return cache->traceIndex(path);
-                    };
-            }
-            MultiCoreResult mc = runMultiCore(
-                multiCoreWorkloadsOf(ctx.workload), ctx.policy, mo);
-            const SimResult agg = aggregateMultiCore(mc);
-            outcome.metrics = defaultMetrics(agg);
-            for (std::size_t core = 0; core < mc.cores.size();
-                 ++core) {
-                const std::string prefix =
-                    "core" + std::to_string(core) + "_";
-                for (const auto &[key, value] :
-                     defaultMetrics(mc.cores[core].result)) {
-                    outcome.metrics[prefix + key] = value;
-                }
-            }
-            outcome.metrics["dram_reads"] =
-                static_cast<double>(mc.dramReads);
-            outcome.metrics["dram_writes"] =
-                static_cast<double>(mc.dramWrites);
-            // The record keeps core 0's software artifacts (layout,
-            // profile, resolved policies) with the aggregate result.
-            outcome.artifacts = std::move(mc.cores[0]);
-            outcome.artifacts.result = agg;
-        } else if (trace::isTraceName(ctx.workload)) {
-            // trace:<path> cells replay the file instead of running a
-            // proxy; the policy-independent pre-pass index is shared
-            // across the grid exactly like a training profile.
-            const std::string path = trace::tracePathOf(ctx.workload);
-            std::shared_ptr<const trace::TraceIndex> index;
-            if (reuseProfiles)
-                index = profiles->traceIndex(path);
-            outcome.artifacts = trace::runTrace(
-                path, ctx.policy, ctx.options, std::move(index));
-            outcome.metrics = defaultMetrics(outcome.artifacts.result);
-        } else {
-            panic_if(!ctx.pipeline, "spec '", spec.name,
-                     "' has no workloads and no runCell");
-            std::shared_ptr<const Profile> profile =
-                ctx.options.precomputedProfile;
-            if (!profile) {
-                const InstCount budget =
-                    resolveProfileBudget(ctx.options);
-                // Without reuse every cell repeats its instrumented
-                // run (the no-cache worst case).
-                profile = reuseProfiles
-                              ? profiles->get(ctx.pipeline->workload(),
-                                              budget)
-                              : std::make_shared<const Profile>(
-                                    collectProfile(
-                                        ctx.pipeline->workload(),
-                                        budget));
-            }
-            outcome.artifacts =
-                ctx.pipeline->run(ctx.policy, ctx.options, profile);
-            outcome.metrics =
-                defaultMetrics(outcome.artifacts.result);
-        }
+        CellOutcome outcome =
+            spec.runCell ? spec.runCell(ctx) : simulate(ctx);
         rec.artifacts = std::move(outcome.artifacts);
         rec.metrics = std::move(outcome.metrics);
     }
@@ -539,13 +518,6 @@ ExperimentRunner::submit(const ExperimentSpec &spec,
         state->journal = std::make_unique<RunJournal>(spec.journal);
     }
 
-    // Custom-executor specs get no pipelines: their workload axis is
-    // free-form labels, not proxy names.
-    const std::size_t n_builds =
-        spec.runCell ? 0 : spec.workloads.size();
-    state->buildOnce = std::make_unique<std::once_flag[]>(n_builds);
-    state->pipelines.resize(n_builds);
-
     state->threadsUsed = static_cast<unsigned>(std::min<std::size_t>(
         threads_, std::max<std::size_t>(1, state->live.size())));
     state->collectionsBefore = profiles_.collections();
@@ -554,28 +526,12 @@ ExperimentRunner::submit(const ExperimentSpec &spec,
 
     WorkerPool &pool = ensurePool();
     state->pool = &pool;
-    state->phasesRemaining.store(n_builds > 0 ? 2 : 1);
-
-    // Both phases ride the persistent pool.  The build batch is
-    // submitted first so idle workers pre-build pipelines in
-    // parallel, but cells do not wait for it: a cell arriving ahead
-    // of the builder constructs its own workload's pipeline through
-    // the same once-flag.
-    if (n_builds > 0) {
-        state->buildBatch = pool.submit(
-            n_builds,
-            [state](std::size_t w, WorkerContext &wc) {
-                state->ensurePipeline(w, wc);
-            },
-            state->threadsUsed,
-            [state] { state->finishPhase(); });
-    }
-    state->cellBatch = pool.submit(
+    state->batch = pool.submit(
         state->live.size(),
         [state](std::size_t ordinal, WorkerContext &wc) {
             state->runCellGuarded(ordinal, wc);
         },
-        state->threadsUsed, [state] { state->finishPhase(); });
+        state->threadsUsed, [state] { state->finish(); });
 
     return PendingRun(std::move(state));
 }
@@ -584,8 +540,7 @@ bool
 PendingRun::done() const
 {
     panic_if(!state_, "done() on an empty PendingRun");
-    return state_->cellBatch->done() &&
-           (!state_->buildBatch || state_->buildBatch->done());
+    return state_->batch->done();
 }
 
 ExperimentResults
@@ -593,14 +548,12 @@ PendingRun::wait()
 {
     panic_if(!state_, "wait() on an empty PendingRun");
     const std::shared_ptr<detail::RunState> state = std::move(state_);
-    state->cellBatch->wait();
-    if (state->buildBatch)
-        state->buildBatch->wait();
+    state->batch->wait();
 
     // Abort mode: a failed cell poisons the whole grid.  Rethrow the
     // deterministically-first error without feeding the sinks -- no
-    // partial BENCH files -- but recycle the arenas first (both
-    // batches are complete, so the pool may well be quiescent).
+    // partial BENCH files -- but recycle the arenas first (the batch
+    // is complete, so the pool may well be quiescent).
     if (state->firstError) {
         state->pool->resetArenasIfIdle();
         throw *state->firstError;

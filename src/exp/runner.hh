@@ -2,11 +2,13 @@
  * @file
  * Parallel experiment execution.
  *
- * The runner expands an ExperimentSpec into cells, builds each
- * workload's CoDesignPipeline exactly once, resolves each cell's
- * training profile through a shared ProfileCache, and executes the
- * cells on a persistent work-stealing WorkerPool that is reused
- * across run() calls (no thread is spawned or joined per run).
+ * The runner expands an ExperimentSpec into cells and executes them
+ * on a persistent work-stealing WorkerPool that is reused across
+ * run() calls (no thread is spawned or joined per run).  Every
+ * simulation cell is one runMultiCore() call (a single-core label is
+ * the one-lane bundle); each proxy workload is built once per label
+ * per submit, and training profiles and trace indexes come from a
+ * shared ProfileCache.
  * submit() enqueues a grid without blocking, so several specs can be
  * in flight at once with cell-granularity stealing across them.
  * Results are stored by deterministic cell index and fed to the
@@ -128,7 +130,7 @@ class PendingRun
      */
     ExperimentResults wait();
 
-    /** Whether every cell (and pipeline build) has finished. */
+    /** Whether every cell has finished. */
     bool done() const;
 
     bool valid() const { return state_ != nullptr; }
@@ -145,8 +147,7 @@ class PendingRun
 /**
  * Executor for experiment grids on a persistent worker pool.  The
  * pool (threads() workers) is created on first use and reused by
- * every subsequent submit()/run(); pipeline builds and cells both
- * ride it.
+ * every subsequent submit()/run().
  */
 class ExperimentRunner
 {

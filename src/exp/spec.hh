@@ -83,9 +83,6 @@ struct CellContext
     std::string policy;
     std::string config;
     SimOptions options;     //!< Base options + config variant applied.
-    /** The shared per-workload pipeline (null when the spec declares
-     *  no workloads and a custom runCell synthesizes its own cells). */
-    const CoDesignPipeline *pipeline = nullptr;
     ProfileCache *profiles = nullptr;
     /** Stable id of the pool worker executing this cell. */
     unsigned worker = 0;
@@ -103,13 +100,15 @@ struct ExperimentSpec
     std::string title;
 
     /**
-     * Workload axis labels.  Three schemes resolve per cell: a bare
-     * proxy name ("gcc", via paramsFor), a `trace:<path>` replay
-     * label (trace::runTrace), and an `mc:a+b+...` multi-core bundle
-     * (sim/multicore.hh: one core per '+'-separated element, each a
-     * proxy name or trace label, over one shared SLC).  The bundle
-     * label carries both grid axes of a multi-core sweep -- the core
-     * count and the core->workload assignment.
+     * Workload axis labels.  Three schemes, all run by one
+     * runMultiCore() call per cell: a bare proxy name ("gcc", built
+     * via paramsFor) and a `trace:<path>` replay label each run as a
+     * one-core bundle, and an `mc:a+b+...` label runs one core per
+     * '+'-separated element (each a proxy name or trace label) over
+     * one shared SLC.  The bundle label carries both grid axes of a
+     * multi-core sweep -- the core count and the core->workload
+     * assignment.  Each distinct proxy name, bare or inside a bundle,
+     * is built once per submit.
      */
     std::vector<std::string> workloads;
     /**
@@ -128,7 +127,12 @@ struct ExperimentSpec
     /** Base options every cell starts from. */
     SimOptions options;
 
-    /** Workload-name -> parameters; defaults to proxyParams(). */
+    /**
+     * Proxy name -> parameters; defaults to proxyParams().  Called
+     * once per distinct name per submit; an unknown name, or any
+     * exception that is not a SimError, fails the cells naming it as
+     * build_failure.
+     */
     std::function<WorkloadParams(const std::string &)> paramsFor;
 
     /**

@@ -4,7 +4,6 @@
 
 #include "core/policy_registry.hh"
 #include "sim/golden.hh"
-#include "trace/source.hh"
 #include "util/error.hh"
 #include "util/logging.hh"
 #include "workloads/builder.hh"
@@ -39,28 +38,6 @@ multiCoreWorkloadsOf(const std::string &name)
 }
 
 namespace {
-
-/**
- * Everything one core's lane owns: the software artifacts, the event
- * source feeding it, and the stepped CoreModel.  Construction mirrors
- * runWorkload()/runTrace() exactly (both share prepareWorkload /
- * prepareTrace), so a one-core bundle is the single-core pipeline.
- */
-struct CoreRuntime
-{
-    RunArtifacts art;
-    std::unique_ptr<SyntheticWorkload> workload;  //!< Proxy lanes only.
-    std::unique_ptr<PageTable> pageTable;
-    std::unique_ptr<Mmu> mmu;
-    std::unique_ptr<BranchUnit> branch;
-    /** Own stack for the N=1 bypass; null when sharing the SLC. */
-    std::unique_ptr<CacheHierarchy> ownHier;
-    CacheHierarchy *hier = nullptr;
-    std::unique_ptr<Executor> exec;
-    std::unique_ptr<trace::TraceEventSource> traceSource;
-    std::unique_ptr<CoreModel> core;
-    InstCount budget = 0;
-};
 
 void
 sumCacheStats(CacheStats &into, const CacheStats &from)
@@ -131,82 +108,42 @@ runMultiCore(const std::vector<std::string> &core_workloads,
         shared = std::make_unique<MultiCoreHierarchy>(mp);
     }
 
-    std::vector<CoreRuntime> lanes(n);
+    // Proxy lanes reference their workload; these keep them alive.
+    std::vector<std::shared_ptr<const SyntheticWorkload>> workloads(n);
+    std::vector<std::unique_ptr<Lane>> lanes;
+    std::vector<InstCount> budgets(n);
     for (unsigned c = 0; c < n; ++c) {
-        CoreRuntime &rt = lanes[c];
         const std::string &label = core_workloads[c];
-        rt.budget = options.coreBudgets.empty()
-                        ? resolveBudget(opts)
-                        : options.coreBudgets[c];
-        if (rt.budget == 0)
-            rt.budget = resolveBudget(opts);
+        const InstCount budget =
+            options.coreBudgets.empty() ? 0 : options.coreBudgets[c];
+        budgets[c] = budget > 0 ? budget : resolveBudget(opts);
+        CacheHierarchy *hier = shared ? &shared->core(c) : nullptr;
 
-        BackendParams backend;
-        BBEventSource *source = nullptr;
         if (trace::isTraceName(label)) {
             const std::string path = trace::tracePathOf(label);
-            std::shared_ptr<const trace::TraceIndex> index;
-            if (options.traceIndexProvider)
-                index = options.traceIndexProvider(path);
-            trace::TraceRuntime trt =
-                trace::prepareTrace(path, opts, std::move(index));
-            rt.art = std::move(trt.art);
-            rt.pageTable = std::move(trt.pageTable);
-            rt.traceSource = std::make_unique<trace::TraceEventSource>(
-                std::move(trt.index));
-            source = rt.traceSource.get();
-            // Traces carry no synthetic stall model (runTrace()).
-        } else {
-            const WorkloadParams params = options.paramsFor
-                                              ? options.paramsFor(label)
-                                              : proxyParams(label);
-            rt.workload = std::make_unique<SyntheticWorkload>(
-                buildWorkload(params));
-            SimOptions wopts = opts;
-            if (options.profileProvider) {
-                wopts.precomputedProfile = options.profileProvider(
-                    *rt.workload, resolveProfileBudget(wopts));
-            }
-            WorkloadRuntime wrt = prepareWorkload(*rt.workload, wopts);
-            rt.art = std::move(wrt.art);
-            rt.pageTable = std::move(wrt.pageTable);
-
-            ExecOptions exec_opts;
-            exec_opts.seed = rt.workload->params.seed;
-            exec_opts.handlerZipfSkew = rt.workload->params.zipfSkew;
-            rt.exec = std::make_unique<Executor>(
-                *rt.workload, rt.art.image, exec_opts);
-            source = rt.exec.get();
-
-            backend.dependStallPerInstr =
-                rt.workload->params.dependStallPerInstr;
-            backend.issueStallPerInstr =
-                rt.workload->params.issueStallPerInstr;
-            backend.otherStallPerInstr =
-                rt.workload->params.otherStallPerInstr;
+            trace::TraceRuntime trt = trace::prepareTrace(
+                path, opts,
+                options.traceIndexProvider
+                    ? options.traceIndexProvider(path)
+                    : nullptr);
+            lanes.push_back(std::make_unique<Lane>(
+                std::move(trt.art), std::move(trt.pageTable), nullptr,
+                std::move(trt.index), opts, hier));
+            continue;
         }
-
-        rt.mmu = std::make_unique<Mmu>(*rt.pageTable);
-        rt.branch = std::make_unique<BranchUnit>(opts.branch);
-        if (shared) {
-            rt.hier = &shared->core(c);
-        } else {
-            rt.ownHier = std::make_unique<CacheHierarchy>(opts.hier);
-            rt.hier = rt.ownHier.get();
+        workloads[c] = options.workloadProvider
+                           ? options.workloadProvider(label)
+                           : std::make_shared<const SyntheticWorkload>(
+                                 buildWorkload(proxyParams(label)));
+        SimOptions wopts = opts;
+        if (options.profileProvider && !wopts.precomputedProfile) {
+            wopts.precomputedProfile = options.profileProvider(
+                *workloads[c], resolveProfileBudget(wopts));
         }
-        rt.art.resolvedPolicies = {
-            {"L1I", rt.hier->l1i().policy().describe()},
-            {"L1D", rt.hier->l1d().policy().describe()},
-            {"L2", rt.hier->l2().policy().describe()},
-            {"SLC", rt.hier->slc().policy().describe()},
-        };
-        if (opts.reuse)
-            rt.hier->setL2Observer(opts.reuse);
-
-        rt.core = std::make_unique<CoreModel>(
-            *source, *rt.hier, *rt.mmu, *rt.branch, opts.core, backend);
-        rt.core->setCostlyTracker(opts.costly);
-        rt.core->setCancelToken(opts.cancel);
+        WorkloadRuntime wrt = prepareWorkload(*workloads[c], wopts);
+        lanes.push_back(std::make_unique<Lane>(
+            std::move(wrt.art), std::move(wrt.pageTable),
+            workloads[c].get(), nullptr, opts, hier));
     }
 
     // Deterministic round-robin: each rotation advances every
@@ -215,12 +152,13 @@ runMultiCore(const std::vector<std::string> &core_workloads,
     // independent).
     while (true) {
         bool all_done = true;
-        for (CoreRuntime &rt : lanes) {
-            if (rt.core->retired() >= rt.budget)
+        for (unsigned c = 0; c < n; ++c) {
+            CoreModel &core = *lanes[c]->core;
+            if (core.retired() >= budgets[c])
                 continue;
             all_done = false;
-            rt.core->step(std::min<InstCount>(
-                rt.budget, rt.core->retired() + options.quantum));
+            core.step(std::min<InstCount>(
+                budgets[c], core.retired() + options.quantum));
         }
         if (all_done)
             break;
@@ -231,19 +169,16 @@ runMultiCore(const std::vector<std::string> &core_workloads,
     // core's position in the rotation.
     MultiCoreResult result;
     result.cores.reserve(n);
-    for (CoreRuntime &rt : lanes) {
-        rt.art.result = rt.core->finalize();
-        result.cores.push_back(std::move(rt.art));
+    for (const std::unique_ptr<Lane> &lane : lanes) {
+        lane->art.result = lane->core->finalize();
+        result.cores.push_back(std::move(lane->art));
     }
-    if (shared) {
-        result.slc = shared->slc().stats();
-        result.dramReads = shared->dram().reads();
-        result.dramWrites = shared->dram().writes();
-    } else {
-        result.slc = lanes[0].hier->slc().stats();
-        result.dramReads = lanes[0].hier->dram().reads();
-        result.dramWrites = lanes[0].hier->dram().writes();
-    }
+    // Every core's stack reaches the shared SLC and DRAM (N=1: its
+    // own), so core 0's view is the bundle's.
+    const CacheHierarchy &hier = *lanes[0]->hier;
+    result.slc = hier.slc().stats();
+    result.dramReads = hier.dram().reads();
+    result.dramWrites = hier.dram().writes();
     return result;
 }
 

@@ -13,8 +13,9 @@
  * timeline -- all deterministic state.  The same spec therefore
  * produces bit-identical results on any thread of any run, and a
  * one-core multi-core spec is construction-for-construction the
- * single-core pipeline (prepareWorkload / prepareTrace are shared),
- * so its fingerprints match the pinned single-core goldens exactly.
+ * single-core pipeline (prepareWorkload / prepareTrace and the Lane
+ * are shared), so its fingerprints match the pinned single-core
+ * goldens exactly.
  */
 
 #ifndef TRRIP_SIM_MULTICORE_HH
@@ -73,12 +74,18 @@ struct MultiCoreOptions
     /** Forwarded to MultiCoreParams (the differential's reference). */
     bool naiveBackInvalidate = false;
 
-    /** Workload-name -> parameters; defaults to proxyParams(). */
-    std::function<WorkloadParams(const std::string &)> paramsFor;
+    /**
+     * Proxy label -> built workload; null = build proxyParams(label)
+     * privately.  The experiment runner shares one build per label
+     * across a whole grid through it.
+     */
+    std::function<std::shared_ptr<const SyntheticWorkload>(
+        const std::string &)> workloadProvider;
 
     /**
      * Optional shared training-profile provider (exp::ProfileCache);
-     * null = each core collects its own profile.
+     * null = each core collects its own profile.  A profile already
+     * in base.precomputedProfile wins over both.
      */
     std::function<std::shared_ptr<const Profile>(
         const SyntheticWorkload &, InstCount)> profileProvider;

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 
+#include "trace/source.hh"
 #include "util/logging.hh"
 
 namespace trrip {
@@ -108,42 +109,59 @@ prepareWorkload(const SyntheticWorkload &workload,
     return rt;
 }
 
+Lane::Lane(RunArtifacts art_in, std::unique_ptr<PageTable> page_table,
+           const SyntheticWorkload *workload,
+           std::shared_ptr<const trace::TraceIndex> trace,
+           const SimOptions &options, CacheHierarchy *shared) :
+    art(std::move(art_in)), pageTable(std::move(page_table))
+{
+    // (9)-(11) Execute: MMU stamps temperatures onto fetch requests.
+    mmu = std::make_unique<Mmu>(*pageTable);
+    branch = std::make_unique<BranchUnit>(options.branch);
+    hier = shared;
+    if (!hier) {
+        ownHier = std::make_unique<CacheHierarchy>(options.hier);
+        hier = ownHier.get();
+    }
+    art.resolvedPolicies = {
+        {"L1I", hier->l1i().policy().describe()},
+        {"L1D", hier->l1d().policy().describe()},
+        {"L2", hier->l2().policy().describe()},
+        {"SLC", hier->slc().policy().describe()},
+    };
+    if (options.reuse)
+        hier->setL2Observer(options.reuse);
+
+    BackendParams backend;  // Traces carry no synthetic stall model.
+    if (workload) {
+        const WorkloadParams &params = workload->params;
+        ExecOptions exec_opts;
+        exec_opts.seed = params.seed;
+        exec_opts.handlerZipfSkew = params.zipfSkew;
+        source = std::make_unique<Executor>(*workload, art.image,
+                                            exec_opts);
+        backend.dependStallPerInstr = params.dependStallPerInstr;
+        backend.issueStallPerInstr = params.issueStallPerInstr;
+        backend.otherStallPerInstr = params.otherStallPerInstr;
+    } else {
+        source =
+            std::make_unique<trace::TraceEventSource>(std::move(trace));
+    }
+
+    core = std::make_unique<CoreModel>(*source, *hier, *mmu, *branch,
+                                       options.core, backend);
+    core->setCostlyTracker(options.costly);
+    core->setCancelToken(options.cancel);
+}
+
 RunArtifacts
 runWorkload(const SyntheticWorkload &workload, const SimOptions &options)
 {
-    const InstCount budget = resolveBudget(options);
-
     WorkloadRuntime rt = prepareWorkload(workload, options);
-    RunArtifacts &art = rt.art;
-
-    // (9)-(11) Execute: MMU stamps temperatures onto fetch requests.
-    Mmu mmu(*rt.pageTable);
-    BranchUnit branch(options.branch);
-    CacheHierarchy hier(options.hier);
-    art.resolvedPolicies = {
-        {"L1I", hier.l1i().policy().describe()},
-        {"L1D", hier.l1d().policy().describe()},
-        {"L2", hier.l2().policy().describe()},
-        {"SLC", hier.slc().policy().describe()},
-    };
-    if (options.reuse)
-        hier.setL2Observer(options.reuse);
-
-    ExecOptions exec_opts;
-    exec_opts.seed = workload.params.seed;
-    exec_opts.handlerZipfSkew = workload.params.zipfSkew;
-    Executor exec(workload, art.image, exec_opts);
-
-    BackendParams backend;
-    backend.dependStallPerInstr = workload.params.dependStallPerInstr;
-    backend.issueStallPerInstr = workload.params.issueStallPerInstr;
-    backend.otherStallPerInstr = workload.params.otherStallPerInstr;
-
-    CoreModel core(exec, hier, mmu, branch, options.core, backend);
-    core.setCostlyTracker(options.costly);
-    core.setCancelToken(options.cancel);
-    art.result = core.run(budget);
-    return std::move(rt.art);
+    Lane lane(std::move(rt.art), std::move(rt.pageTable), &workload,
+              nullptr, options);
+    lane.art.result = lane.core->run(resolveBudget(options));
+    return std::move(lane.art);
 }
 
 } // namespace trrip

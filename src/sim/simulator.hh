@@ -21,6 +21,10 @@
 
 namespace trrip {
 
+namespace trace {
+struct TraceIndex;
+} // namespace trace
+
 /** Options for one simulation run. */
 struct SimOptions
 {
@@ -119,10 +123,46 @@ struct WorkloadRuntime
 /**
  * Steps (2)-(8) of the Fig. 4 flow: profile (or adopt the
  * precomputed one), classify, lay out, load.  runWorkload() is
- * exactly prepareWorkload() followed by the engine run.
+ * exactly prepareWorkload() followed by one Lane's run.
  */
 WorkloadRuntime prepareWorkload(const SyntheticWorkload &workload,
                                 const SimOptions &options);
+
+/**
+ * One core's engine over prepared software (steps 9-11 of Fig. 4):
+ * the Mmu over the lane's page table, a BranchUnit, the cache stack,
+ * the event source and the CoreModel stepping them.  The constructor
+ * is the only place the engine is wired; runWorkload(),
+ * trace::runTrace() and runMultiCore() all build their lanes with it.
+ * Not copyable or movable: the engine holds references into the lane.
+ */
+struct Lane
+{
+    /**
+     * A proxy lane replays @p workload (which must outlive the lane)
+     * through an Executor over art.image; a trace lane (@p workload
+     * null) replays @p trace's decoded lap.  @p shared binds the lane
+     * to one core of a multi-core fabric; null gives the lane its own
+     * CacheHierarchy from options.hier.
+     */
+    Lane(RunArtifacts art, std::unique_ptr<PageTable> page_table,
+         const SyntheticWorkload *workload,
+         std::shared_ptr<const trace::TraceIndex> trace,
+         const SimOptions &options, CacheHierarchy *shared = nullptr);
+
+    Lane(const Lane &) = delete;
+    Lane &operator=(const Lane &) = delete;
+
+    RunArtifacts art;
+    std::unique_ptr<PageTable> pageTable;
+    std::unique_ptr<Mmu> mmu;
+    std::unique_ptr<BranchUnit> branch;
+    /** Own stack; null when bound to a shared fabric's core. */
+    std::unique_ptr<CacheHierarchy> ownHier;
+    CacheHierarchy *hier = nullptr;
+    std::unique_ptr<BBEventSource> source;
+    std::unique_ptr<CoreModel> core;
+};
 
 /**
  * Run the whole pipeline for one workload.  Every cache level's

@@ -375,28 +375,10 @@ runTrace(const std::string &path, const std::string &policy_spec,
     opts.hier.l2Policy = PolicySpec(policy_spec);
 
     TraceRuntime rt = prepareTrace(path, opts, std::move(index));
-    RunArtifacts &art = rt.art;
-
-    // (9)-(11) Replay through the unchanged core/hierarchy engine.
-    Mmu mmu(*rt.pageTable);
-    BranchUnit branch(opts.branch);
-    CacheHierarchy hier(opts.hier);
-    art.resolvedPolicies = {
-        {"L1I", hier.l1i().policy().describe()},
-        {"L1D", hier.l1d().policy().describe()},
-        {"L2", hier.l2().policy().describe()},
-        {"SLC", hier.slc().policy().describe()},
-    };
-    if (opts.reuse)
-        hier.setL2Observer(opts.reuse);
-
-    TraceEventSource source(rt.index);
-    BackendParams backend;  // Traces carry no synthetic stall model.
-    CoreModel core(source, hier, mmu, branch, opts.core, backend);
-    core.setCostlyTracker(opts.costly);
-    core.setCancelToken(opts.cancel);
-    art.result = core.run(resolveBudget(opts));
-    return std::move(rt.art);
+    Lane lane(std::move(rt.art), std::move(rt.pageTable), nullptr,
+              std::move(rt.index), opts);
+    lane.art.result = lane.core->run(resolveBudget(opts));
+    return std::move(lane.art);
 }
 
 } // namespace trrip::trace

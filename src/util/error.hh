@@ -4,7 +4,7 @@
  *
  * SimError is the one exception type the engine throws for *contained*
  * failures: conditions caused by a particular input or cell (a corrupt
- * trace chunk, a pipeline build that failed, a cell past its deadline,
+ * trace chunk, a workload build that failed, a cell past its deadline,
  * an injected chaos fault) that must fail that unit of work without
  * taking down the grid.  WorkerPool catches at the item boundary and
  * ExperimentRunner turns the error into a per-cell outcome governed by

@@ -29,10 +29,9 @@
  * faults regardless of which worker runs it or what else is in
  * flight, while a *retry* of the cell (attempt+1) re-rolls -- so
  * finite fault rates converge under OnError retry.  Evaluations
- * outside any scope (e.g. the shared build batch) key off a
- * scope-independent per-site global counter; those are deterministic
- * for a serial order but are only used where a retry path re-rolls
- * anyway.
+ * outside any scope (a trace read driven directly, not by a runner
+ * cell) key off a scope-independent per-site global counter; those
+ * are deterministic for a serial order.
  */
 
 #ifndef TRRIP_UTIL_FAULT_HH
@@ -50,7 +49,7 @@ namespace trrip {
 enum class FaultSite : std::uint8_t
 {
     TraceRead,  //!< TraceReader chunk load.
-    Build,      //!< Pipeline construction (RunState::ensurePipeline).
+    Build,      //!< A runner workload build (once per label per submit).
     Cell,       //!< Cell compute entry (runCellGuarded).
     SinkWrite,  //!< Run-journal line append.
     NumSites,

@@ -1,6 +1,6 @@
 #include "workloads/proxies.hh"
 
-#include "util/logging.hh"
+#include "util/error.hh"
 
 namespace trrip {
 
@@ -347,7 +347,8 @@ proxyParams(const std::string &name)
         return p;
     }
 
-    fatal("unknown workload: ", name);
+    throw SimError(ErrorCategory::BuildFailure,
+                   "unknown workload: " + name);
 }
 
 } // namespace trrip

@@ -28,7 +28,10 @@ std::vector<std::string> proxyNames();
 /** Names of the Fig. 1 system-software components. */
 std::vector<std::string> systemComponentNames();
 
-/** Parameter set for a proxy benchmark or system component. */
+/**
+ * Parameter set for a proxy benchmark or system component.  Throws
+ * SimError(BuildFailure) for an unknown name: labels are user input.
+ */
 WorkloadParams proxyParams(const std::string &name);
 
 } // namespace trrip

@@ -23,9 +23,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
+#include "core/codesign.hh"
 #include "exp/runner.hh"
 #include "sim/golden.hh"
 #include "sim/multicore.hh"
@@ -111,6 +114,36 @@ TEST(MultiCoreName, EmptyComponentBecomesAnErrorRowUnderSkip)
         }
         EXPECT_TRUE(rec.failed) << rec.workload;
         EXPECT_EQ(rec.errorCategory, "build_failure") << rec.workload;
+    }
+}
+
+TEST(MultiCoreName, UnknownProxyLaneIsABuildFailure)
+{
+    exp::ExperimentSpec spec;
+    spec.name = "mc_unknown_proxy";
+    spec.workloads = {"mc:gcc+nosuch", "gcc"};
+    spec.policies = {"SRRIP"};
+    spec.options.maxInstructions = 20'000;
+    spec.options.profileInstructions = 10'000;
+    spec.onError.mode = exp::OnError::Mode::Skip;
+    exp::ExperimentRunner runner(2);
+
+    const exp::ExperimentResults results = runner.run(spec, {});
+    const exp::CellRecord &bad = results.at("mc:gcc+nosuch", "SRRIP");
+    EXPECT_TRUE(bad.failed);
+    EXPECT_EQ(bad.errorCategory, "build_failure");
+    EXPECT_NE(bad.errorMessage.find("unknown workload: nosuch"),
+              std::string::npos)
+        << bad.errorMessage;
+    EXPECT_FALSE(results.at("gcc", "SRRIP").failed);
+
+    spec.onError.mode = exp::OnError::Mode::Abort;
+    try {
+        runner.run(spec, {});
+        ADD_FAILURE() << "Abort-mode grid with an unknown lane ran";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::BuildFailure)
+            << e.what();
     }
 }
 
@@ -410,6 +443,88 @@ TEST(MultiCoreGolden, MultiCoreFingerprintsAreBitIdentical)
         EXPECT_EQ(fp, c.expected)
             << "mc:" << c.workloads << " / " << c.policy
             << ": multi-core simulation behavior changed.";
+    }
+}
+
+TEST(MultiCoreRunner, CellsEqualDirectCalls)
+{
+    // Every runner cell is one runMultiCore() call; its result must be
+    // what the direct entry points produce, with and without profile
+    // reuse, on one worker or four.
+    const std::string dir = kTraceDir;
+    trace::generateMiniTracePack(dir);
+    const std::string path = trace::miniTracePath(dir, "dispatch");
+    const std::string tr = trace::kTracePrefix + path;
+
+    exp::ExperimentSpec spec;
+    spec.name = "runner_equals_direct";
+    spec.workloads = {"gcc", tr, "mc:gcc+gcc", "mc:" + tr + "+python"};
+    spec.policies = {"SRRIP", "TRRIP-2"};
+    spec.options.maxInstructions = 40'000;
+    spec.options.profileInstructions = 20'000;
+    std::mutex builds_mutex;
+    std::map<std::string, int> builds;
+    spec.paramsFor = [&](const std::string &label) {
+        std::lock_guard<std::mutex> lock(builds_mutex);
+        ++builds[label];
+        return proxyParams(label);
+    };
+
+    // Direct references: single-core fingerprints, and for bundles
+    // the aggregate fingerprint plus what it cannot see (per-core
+    // cycles, shared DRAM traffic).
+    std::map<std::string, std::uint64_t> fingerprint;
+    std::map<std::string, std::map<std::string, double>> bundle;
+    for (const std::string &policy : spec.policies) {
+        fingerprint["gcc/" + policy] = goldenFingerprint(
+            CoDesignPipeline(proxyParams("gcc"))
+                .run(policy, spec.options)
+                .result);
+        fingerprint[tr + "/" + policy] = goldenFingerprint(
+            trace::runTrace(path, policy, spec.options).result);
+        for (const std::string &label : {spec.workloads[2],
+                                         spec.workloads[3]}) {
+            MultiCoreOptions mo;
+            mo.base = spec.options;
+            const MultiCoreResult mc = runMultiCore(
+                multiCoreWorkloadsOf(label), policy, mo);
+            const std::string key = label + "/" + policy;
+            fingerprint[key] = goldenFingerprint(aggregateMultiCore(mc));
+            for (std::size_t c = 0; c < mc.cores.size(); ++c) {
+                bundle[key]["core" + std::to_string(c) + "_cycles"] =
+                    mc.cores[c].result.cycles;
+            }
+            bundle[key]["dram_reads"] =
+                static_cast<double>(mc.dramReads);
+            bundle[key]["dram_writes"] =
+                static_cast<double>(mc.dramWrites);
+        }
+    }
+
+    for (const bool reuse : {true, false}) {
+        for (const unsigned jobs : {1u, 4u}) {
+            SCOPED_TRACE("reuse " + std::to_string(reuse) + ", " +
+                         std::to_string(jobs) + " jobs");
+            builds.clear();
+            exp::ExperimentRunner runner(jobs);
+            runner.setProfileReuse(reuse);
+            const exp::ExperimentResults results = runner.run(spec, {});
+            for (const exp::CellRecord &rec : results.cells()) {
+                const std::string key = rec.workload + "/" + rec.policy;
+                ASSERT_FALSE(rec.failed) << key << ": " << rec.errorMessage;
+                EXPECT_EQ(goldenFingerprint(rec.result()),
+                          fingerprint.at(key))
+                    << key;
+                for (const auto &[metric, value] : bundle[key])
+                    EXPECT_EQ(rec.metrics.at(metric), value)
+                        << key << " " << metric;
+            }
+            // One build per distinct proxy label per submit, shared
+            // by single-core cells and bundle lanes alike.
+            EXPECT_EQ(builds,
+                      (std::map<std::string, int>{{"gcc", 1},
+                                                  {"python", 1}}));
+        }
     }
 }
 

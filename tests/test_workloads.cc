@@ -11,6 +11,7 @@
 #include <set>
 
 #include "sw/layout.hh"
+#include "util/error.hh"
 #include "workloads/builder.hh"
 #include "workloads/executor.hh"
 #include "workloads/proxies.hh"
@@ -364,10 +365,15 @@ TEST(Proxies, AllRegisteredWorkloadsBuild)
     }
 }
 
-TEST(ProxiesDeath, UnknownNameIsFatal)
+TEST(Proxies, UnknownNameIsABuildFailure)
 {
-    EXPECT_EXIT(proxyParams("nope"), ::testing::ExitedWithCode(1),
-                "unknown workload");
+    try {
+        proxyParams("nope");
+        ADD_FAILURE() << "unknown proxy name did not throw";
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::BuildFailure);
+        EXPECT_EQ(e.message(), "unknown workload: nope");
+    }
 }
 
 TEST(Proxies, ClangIsTheLargestBinary)
