@@ -92,10 +92,17 @@ runExperiment(const exp::ExperimentSpec &spec,
         sink_ptrs.push_back(s.get());
     sink_ptrs.insert(sink_ptrs.end(), extra_sinks.begin(),
                      extra_sinks.end());
+    auto results = runOrExit(runner, spec, sink_ptrs);
+    exp::printRunSummary(results);
+    return results;
+}
+
+exp::ExperimentResults
+runOrExit(exp::ExperimentRunner &runner, const exp::ExperimentSpec &spec,
+          const std::vector<exp::ResultSink *> &sinks)
+{
     try {
-        auto results = runner.run(spec, sink_ptrs);
-        exp::printRunSummary(results);
-        return results;
+        return runner.run(spec, sinks);
     } catch (const SimError &err) {
         // Abort-mode failure: the grid already stopped with no
         // partial BENCH written; exit cleanly instead of unwinding

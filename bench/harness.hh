@@ -59,6 +59,16 @@ runExperiment(const exp::ExperimentSpec &spec,
               exp::ExperimentRunner &runner,
               const std::vector<exp::ResultSink *> &extra_sinks = {});
 
+/**
+ * runner.run(spec, sinks) for benches that time or compare grids
+ * themselves: an Abort-mode cell failure (say, a bad policy spec from
+ * the environment) prints the error and exits 1, as runExperiment()
+ * does, instead of unwinding into std::terminate.
+ */
+exp::ExperimentResults
+runOrExit(exp::ExperimentRunner &runner, const exp::ExperimentSpec &spec,
+          const std::vector<exp::ResultSink *> &sinks = {});
+
 } // namespace trrip::bench
 
 #endif // TRRIP_BENCH_HARNESS_HH

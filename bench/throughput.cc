@@ -90,7 +90,7 @@ main()
     double total_wall = 0.0;
     for (const std::string &policy : policies) {
         spec.policies = {policy};
-        const ExperimentResults results = runner.run(spec, {});
+        const ExperimentResults results = runOrExit(runner, spec);
         PolicyTiming t;
         t.policy = policy;
         t.wallSeconds = results.wallSeconds;

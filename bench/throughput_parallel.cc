@@ -173,7 +173,7 @@ main()
     for (const std::string &policy : policies) {
         spec.policies = {policy};
         const PolicyTotals t =
-            totalsOf(serial.run(spec, {}), policy);
+            totalsOf(runOrExit(serial, spec), policy);
         serial_instr += t.instructions;
         serial_wall += t.wallSeconds;
         std::printf("%-12s %8.2f Minstr in %7.2f s -> %7.2f "

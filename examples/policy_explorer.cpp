@@ -22,10 +22,13 @@
 
 #include "core/codesign.hh"
 #include "core/policy_registry.hh"
+#include "util/error.hh"
 #include "workloads/proxies.hh"
 
+namespace {
+
 int
-main(int argc, char **argv)
+explore(int argc, char **argv)
 {
     using namespace trrip;
 
@@ -86,4 +89,18 @@ main(int argc, char **argv)
                                                      res.result));
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return explore(argc, argv);
+    } catch (const trrip::SimError &err) {
+        // An unknown workload name or a bad policy spec.
+        std::fprintf(stderr, "error: %s\n", err.what());
+        return 1;
+    }
 }

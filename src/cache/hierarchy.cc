@@ -6,50 +6,31 @@
 
 namespace trrip {
 
-CacheHierarchy::CacheHierarchy(const HierarchyParams &params) :
+CacheHierarchy::CacheHierarchy(const HierarchyParams &params,
+                               MultiCoreHierarchy *fabric,
+                               unsigned core_id) :
     params_(params),
     l1i_(params.l1i, params.l1iPolicy),
     l1d_(params.l1d, params.l1dPolicy),
     l2_(params.l2, PolicyRegistry::instance().instantiate(
                        params.l2Policy, params.l2)),
-    ownSlc_(std::make_unique<Cache>(params.slc, params.slcPolicy)),
-    ownDram_(std::make_unique<Dram>(params.dram)),
-    slc_(ownSlc_.get()),
-    dram_(ownDram_.get()),
+    fabric_(fabric),
+    ownSlc_(fabric ? nullptr
+                   : std::make_unique<Cache>(params.slc,
+                                             params.slcPolicy)),
+    ownDram_(fabric ? nullptr : std::make_unique<Dram>(params.dram)),
+    slc_(fabric ? &fabric->slc() : ownSlc_.get()),
+    dram_(fabric ? &fabric->dram() : ownDram_.get()),
+    slcOwnerBit_(fabric ? 1u << core_id : 0u),
     l1dStride_(256, params.l1dStrideDegree),
     l2Stride_(256, params.l2StrideDegree),
     instNextLine_(params.instNextLineDegree, params.l2.lineBytes)
 {
+    panic_if(fabric && core_id >= 32,
+             "shared-SLC owner masks carry at most 32 cores");
     // The hierarchy decomposes addresses through its own params_
     // copies (lineAddr on the prefetch paths), so derive their
     // shift/mask constants up front.
-    params_.l1i.check();
-    params_.l1d.check();
-    params_.l2.check();
-    params_.slc.check();
-}
-
-CacheHierarchy::CacheHierarchy(const HierarchyParams &params,
-                               Cache &shared_slc, Dram &shared_dram,
-                               unsigned core_id,
-                               SlcOwnerDirectory *directory) :
-    params_(params),
-    l1i_(params.l1i, params.l1iPolicy),
-    l1d_(params.l1d, params.l1dPolicy),
-    l2_(params.l2, PolicyRegistry::instance().instantiate(
-                       params.l2Policy, params.l2)),
-    slc_(&shared_slc),
-    dram_(&shared_dram),
-    slcOwnerBit_(1u << core_id),
-    directory_(directory),
-    l1dStride_(256, params.l1dStrideDegree),
-    l2Stride_(256, params.l2StrideDegree),
-    instNextLine_(params.instNextLineDegree, params.l2.lineBytes)
-{
-    panic_if(core_id >= 32,
-             "shared-SLC owner masks carry at most 32 cores");
-    panic_if(!params.slcInclusive,
-             "a shared SLC requires the inclusive protocol");
     params_.l1i.check();
     params_.l1d.check();
     params_.l2.check();
@@ -116,7 +97,7 @@ CacheHierarchy::beyondL1(const MemRequest &req, Cycles now, bool is_inst)
         fill.vaddr = fill.paddr = line;
         fill.type = req.isInst() ? AccessType::InstPrefetch
                                  : AccessType::DataPrefetch;
-        if (params_.slcInclusive)
+        if (fabric_)
             ensureSlcInclusion(fill, now);
         else
             slc_->invalidate(line);
@@ -151,7 +132,7 @@ CacheHierarchy::beyondL1(const MemRequest &req, Cycles now, bool is_inst)
         // Data arrives via the prefetch; consume any SLC copy
         // (exclusive) or take ownership of it (inclusive) and
         // install without charging DRAM again.
-        if (params_.slcInclusive)
+        if (fabric_)
             ensureSlcInclusion(req, now);
         else
             slc_->invalidate(line);
@@ -177,7 +158,7 @@ CacheHierarchy::beyondL1(const MemRequest &req, Cycles now, bool is_inst)
     }
 
     bool slc_hit;
-    if (params_.slcInclusive) {
+    if (fabric_) {
         // Inclusive: the copy stays below; the hit slot gains this
         // core's owner bit in the same probe.
         const Cache::Probe sp = slc_->accessProbe(req);
@@ -185,8 +166,8 @@ CacheHierarchy::beyondL1(const MemRequest &req, Cycles now, bool is_inst)
         if (sp.hit)
             slc_->orOwner(sp.set, sp.way, slcOwnerBit_);
     } else {
-        slc_hit = params_.slcExclusive ? slc_->accessInvalidate(req)
-                                       : slc_->access(req);
+        // Exclusive: the hit line moves up out of the SLC.
+        slc_hit = slc_->accessInvalidate(req);
     }
     if (slc_hit) {
         out.servedBy = ServedBy::Slc;
@@ -202,7 +183,7 @@ CacheHierarchy::beyondL1(const MemRequest &req, Cycles now, bool is_inst)
                   dram_->read(now);
     // Inclusive SLC: the DRAM fill installs below on its way up, so
     // the private L2 copy is covered before fillL2 can even evict.
-    if (params_.slcInclusive)
+    if (fabric_)
         ensureSlcInclusion(req, now);
     fillL2(req, now, l1bit);
     fillL1(l1, req);
@@ -263,20 +244,18 @@ CacheHierarchy::fillL2(const MemRequest &req, Cycles now,
     if (!victim.valid)
         return;
 
+    // Inclusive L2: back-invalidate only the L1s whose residency bit
+    // is set on the victim (a clear bit proves absence; a stale set
+    // bit costs the same no-op probe as the unconditional pre-fusion
+    // walk).  A dirty L1D copy folds its data into the victim on the
+    // way out.
     bool dirty = (victim.meta & kLineMetaDirty) != 0;
-    if (params_.l2Inclusive) {
-        // Back-invalidate only the L1s whose residency bit is set on
-        // the victim (a clear bit proves absence; a stale set bit
-        // costs the same no-op probe as the unconditional pre-fusion
-        // walk).  A dirty L1D copy folds its data into the victim on
-        // the way out.
-        if (victim.meta & kLineMetaInL1I)
-            l1i_.invalidate(victim.addr);
-        if (victim.meta & kLineMetaInL1D) {
-            if (auto l1line = l1d_.invalidate(victim.addr);
-                l1line && l1line->dirty) {
-                dirty = true;
-            }
+    if (victim.meta & kLineMetaInL1I)
+        l1i_.invalidate(victim.addr);
+    if (victim.meta & kLineMetaInL1D) {
+        if (auto l1line = l1d_.invalidate(victim.addr);
+            l1line && l1line->dirty) {
+            dirty = true;
         }
     }
     victimToSlc(victim.addr, dirty, victim.meta, now);
@@ -286,26 +265,17 @@ void
 CacheHierarchy::victimToSlc(Addr addr, bool dirty, std::uint8_t meta,
                             Cycles now)
 {
-    if (params_.slcInclusive) {
+    if (fabric_) {
         // Inclusive: the data already lives below.  The L2 victim
         // only releases this core's ownership of the SLC copy; a
-        // dirty victim folds its writeback into that copy.  Falling
-        // through (copy absent) means inclusion was broken -- only
-        // possible with no owner directory wired -- and the victim
-        // re-installs like the non-exclusive path.
-        if (slc_->releaseOwner(addr, slcOwnerBit_, dirty))
-            return;
-    } else if (!params_.slcExclusive) {
-        // One probe: a dirty victim merges into a present copy via
-        // markDirty (which reports presence); a clean one only needs
-        // the presence check.
-        const bool present = dirty ? slc_->markDirty(addr)
-                                   : slc_->contains(addr);
-        if (present)
-            return;
+        // dirty victim folds its writeback into that copy.
+        const bool held = slc_->releaseOwner(addr, slcOwnerBit_, dirty);
+        panic_if(!held, "shared SLC lost a line its owner still held");
+        return;
     }
-    // Synthetic downstream re-insert built straight from the victim's
-    // (addr, meta) identity -- dirty victims write back as stores.
+    // Exclusive: the SLC is the L2's victim cache.  The re-insert is
+    // built straight from the victim's (addr, meta) identity -- dirty
+    // victims write back as stores.
     MemRequest req;
     req.vaddr = req.paddr = addr;
     req.pc = 0;
@@ -315,13 +285,7 @@ CacheHierarchy::victimToSlc(Addr addr, bool dirty, std::uint8_t meta,
     req.temp = decodeTemperature(
         static_cast<std::uint8_t>(meta >> kLineMetaTempShift));
     const Cache::Victim evicted = slc_->fillProbe(req, 0);
-    bool ev_dirty = evicted.valid &&
-                    (evicted.meta & kLineMetaDirty) != 0;
-    if (evicted.valid && directory_ &&
-        directory_->dropFromOwners(evicted.addr, evicted.owner)) {
-        ev_dirty = true;
-    }
-    if (ev_dirty)
+    if (evicted.valid && (evicted.meta & kLineMetaDirty))
         dram_->write(now);
 }
 
@@ -338,10 +302,8 @@ CacheHierarchy::ensureSlcInclusion(const MemRequest &req, Cycles now)
     if (!evicted.valid)
         return;
     bool dirty = (evicted.meta & kLineMetaDirty) != 0;
-    if (directory_ &&
-        directory_->dropFromOwners(evicted.addr, evicted.owner)) {
+    if (fabric_->dropFromOwners(evicted.addr, evicted.owner))
         dirty = true;
-    }
     if (dirty)
         dram_->write(now);
 }
@@ -352,17 +314,12 @@ CacheHierarchy::dropLine(Addr addr)
     const Cache::Victim v = l2_.invalidateRaw(addr);
     bool dirty = v.valid && (v.meta & kLineMetaDirty) != 0;
     // Inclusive L2: the victim's residency bits bound where private
-    // copies can live (same contract as fillL2's cascade).  A
-    // non-inclusive L2 gives no such proof, so both L1s are probed.
-    const bool probe_i =
-        params_.l2Inclusive ? (v.valid && (v.meta & kLineMetaInL1I))
-                            : true;
-    const bool probe_d =
-        params_.l2Inclusive ? (v.valid && (v.meta & kLineMetaInL1D))
-                            : true;
-    if (probe_i)
+    // copies can live (same contract as fillL2's cascade).
+    if (!v.valid)
+        return false;
+    if (v.meta & kLineMetaInL1I)
         l1i_.invalidate(addr);
-    if (probe_d) {
+    if (v.meta & kLineMetaInL1D) {
         if (auto l1line = l1d_.invalidate(addr);
             l1line && l1line->dirty) {
             dirty = true;
@@ -403,17 +360,7 @@ MultiCoreHierarchy::dropFromOwners(Addr addr, std::uint32_t owners)
 }
 
 MultiCoreHierarchy::MultiCoreHierarchy(const MultiCoreParams &params) :
-    params_([&] {
-        MultiCoreParams p = params;
-        // The shared-SLC protocol needs private inclusion end to end:
-        // an L1 copy implies an L2 copy implies an SLC copy carrying
-        // the owner bit, which is what makes the masked back-
-        // invalidation sound.
-        p.hier.l2Inclusive = true;
-        p.hier.slcExclusive = false;
-        p.hier.slcInclusive = true;
-        return p;
-    }()),
+    params_(params),
     slc_(params_.hier.slc, params_.hier.slcPolicy),
     dram_(params_.hier.dram)
 {
@@ -422,8 +369,8 @@ MultiCoreHierarchy::MultiCoreHierarchy(const MultiCoreParams &params) :
     slc_.enableOwnerMasks();
     cores_.reserve(params_.numCores);
     for (unsigned c = 0; c < params_.numCores; ++c) {
-        cores_.push_back(std::make_unique<CacheHierarchy>(
-            params_.hier, slc_, dram_, c, this));
+        cores_.push_back(
+            std::make_unique<CacheHierarchy>(params_.hier, this, c));
     }
 }
 
@@ -488,8 +435,6 @@ CacheHierarchy::inflightSnapshot() const
 bool
 CacheHierarchy::checkInclusion() const
 {
-    if (!params_.l2Inclusive)
-        return true;
     // Every valid L1 line must be present in the L2.
     const auto check = [this](const Cache &l1) {
         for (std::uint32_t s = 0; s < l1.geometry().numSets(); ++s) {

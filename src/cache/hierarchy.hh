@@ -4,7 +4,8 @@
  * and L1-D, a unified inclusive L2 running the replacement policy under
  * test, an exclusive system-level cache (SLC), and DRAM, with stride /
  * next-line prefetchers and an in-flight (MSHR-like) tracker so
- * prefetch timeliness is modeled.
+ * prefetch timeliness is modeled.  MultiCoreHierarchy puts N such
+ * private stacks over one shared, inclusive SLC and one DRAM.
  */
 
 #ifndef TRRIP_CACHE_HIERARCHY_HH
@@ -70,18 +71,6 @@ struct HierarchyParams
     Cycles slcTagLat = 10, slcDataLat = 30;
     DramParams dram{};
 
-    bool l2Inclusive = true;    //!< L2 back-invalidates the L1s.
-    bool slcExclusive = true;   //!< SLC is an L2 victim cache.
-    /**
-     * Multi-core shared-SLC mode: the SLC holds a superset of every
-     * private L2's contents (wins over slcExclusive when set).  Demand
-     * hits keep their SLC copy, DRAM-served fills install into the SLC
-     * on the way up, L2 victims only release ownership (the data is
-     * already below), and an SLC eviction back-invalidates the owning
-     * cores' private levels through the owner directory.
-     */
-    bool slcInclusive = false;
-
     bool enablePrefetch = true;
     unsigned l1dStrideDegree = 4;
     unsigned l2StrideDegree = 4;
@@ -116,23 +105,7 @@ class L2AccessObserver
     virtual void onL2Access(const MemRequest &req) = 0;
 };
 
-/**
- * Resolver of shared-SLC owner masks back to core private levels.
- * Implemented by MultiCoreHierarchy: when the shared SLC evicts a
- * line, the owning stack calls back through this interface so every
- * core whose owner bit is set drops its private copies.
- */
-class SlcOwnerDirectory
-{
-  public:
-    virtual ~SlcOwnerDirectory() = default;
-    /**
-     * Remove @p addr from the private levels of every core in
-     * @p owners (bit c = core c).
-     * @return true when any dropped private copy was dirty.
-     */
-    virtual bool dropFromOwners(Addr addr, std::uint32_t owners) = 0;
-};
+class MultiCoreHierarchy;
 
 /**
  * The four-level hierarchy.  Functional content is tracked exactly;
@@ -141,27 +114,28 @@ class SlcOwnerDirectory
  * (completed prefetches become L2 hits; late ones become reduced-
  * latency misses), which keeps demand-MPKI accounting faithful.
  *
- * A hierarchy owns its SLC and DRAM by default (the single-core
- * engine).  The multi-core form (MultiCoreHierarchy) instead passes a
- * shared SLC + DRAM into N private stacks; each stack stamps its core
- * bit into the SLC's per-line owner mask and SLC evictions back-
- * invalidate through the SlcOwnerDirectory.
+ * The SLC protocol follows from who owns the SLC.  A stack that owns
+ * its SLC and DRAM (the single-core engine) keeps the L2 inclusive of
+ * the L1s and runs the SLC as an exclusive L2 victim cache.  A stack
+ * bound to a MultiCoreHierarchy is one core's private levels over the
+ * fabric's shared SLC + DRAM, and runs the inclusive protocol: the
+ * SLC holds a superset of every private L2, demand hits keep their
+ * SLC copy, DRAM-served fills install into the SLC on the way up, L2
+ * victims only release this core's owner bit, and an SLC eviction
+ * back-invalidates the owning cores through the fabric.
  */
 class CacheHierarchy
 {
   public:
-    /** Build every level's policy from the params' per-level specs. */
-    explicit CacheHierarchy(const HierarchyParams &params);
-
     /**
-     * Private per-core stack over an externally owned shared SLC and
-     * DRAM (the multi-core form; requires params.slcInclusive).  The
-     * stack stamps (1u << core_id) into the SLC owner masks and routes
-     * SLC-eviction back-invalidations through @p directory.
+     * Build every level's policy from the params' per-level specs.
+     * With @p fabric null the stack owns its SLC and DRAM; otherwise
+     * it is core @p core_id of @p fabric (only MultiCoreHierarchy
+     * binds stacks, so its back-invalidations reach every one).
      */
-    CacheHierarchy(const HierarchyParams &params, Cache &shared_slc,
-                   Dram &shared_dram, unsigned core_id,
-                   SlcOwnerDirectory *directory);
+    explicit CacheHierarchy(const HierarchyParams &params,
+                            MultiCoreHierarchy *fabric = nullptr,
+                            unsigned core_id = 0);
 
     /** Demand instruction fetch at cycle @p now. */
     AccessOutcome instFetch(const MemRequest &req, Cycles now);
@@ -247,9 +221,10 @@ class CacheHierarchy
     void victimToSlc(Addr addr, bool dirty, std::uint8_t meta,
                      Cycles now);
     /**
-     * Inclusive-SLC mode: guarantee the line for @p req is resident
-     * in the shared SLC with this core's owner bit set, installing it
-     * (and back-invalidating the displaced line's owners) when absent.
+     * Inclusive (shared-SLC) protocol: guarantee the line for @p req
+     * is resident in the shared SLC with this core's owner bit set,
+     * installing it (and back-invalidating the displaced line's
+     * owners) when absent.
      * Runs before every fillL2 on a path where the data bypassed the
      * SLC (DRAM fill, prefetch materialization).
      */
@@ -267,14 +242,15 @@ class CacheHierarchy
     Cache l1i_;
     Cache l1d_;
     Cache l2_;
-    /** Own SLC/DRAM (single-core); null when externally shared. */
+    /** The fabric whose SLC this stack shares; null single-core. */
+    MultiCoreHierarchy *fabric_ = nullptr;
+    /** Own SLC/DRAM (single-core); null when the fabric's are used. */
     std::unique_ptr<Cache> ownSlc_;
     std::unique_ptr<Dram> ownDram_;
     Cache *slc_ = nullptr;
     Dram *dram_ = nullptr;
     /** (1u << core_id) when sharing the SLC; 0 single-core. */
     std::uint32_t slcOwnerBit_ = 0;
-    SlcOwnerDirectory *directory_ = nullptr;
     StridePrefetcher l1dStride_;
     StridePrefetcher l2Stride_;
     NextLinePrefetcher instNextLine_;
@@ -287,11 +263,7 @@ class CacheHierarchy
 /** Configuration of a multi-core hierarchy. */
 struct MultiCoreParams
 {
-    /**
-     * Per-core private geometry + the shared SLC/DRAM.  slcExclusive
-     * and slcInclusive are overridden: N>0 cores over one SLC always
-     * run the inclusive shared-SLC protocol.
-     */
+    /** Per-core private geometry + the shared SLC/DRAM. */
     HierarchyParams hier;
     unsigned numCores = 2;
     /**
@@ -307,13 +279,13 @@ struct MultiCoreParams
 /**
  * N private {L1I, L1D, L2} stacks over one shared SLC and one shared
  * DRAM channel.  The SLC runs with per-line owner masks (bit c =
- * core c); this class is the owner directory resolving SLC evictions
- * back to exactly the owning cores' private levels.  The shared DRAM
- * is the deterministic bandwidth-contention point: cores occupy the
- * same channel timeline, so a streaming neighbor visibly delays an
+ * core c); this class resolves SLC evictions back to exactly the
+ * owning cores' private levels.  The shared DRAM is the
+ * deterministic bandwidth-contention point: cores occupy the same
+ * channel timeline, so a streaming neighbor visibly delays an
  * instruction-hot core (bench/multicore's noisy-neighbor study).
  */
-class MultiCoreHierarchy final : public SlcOwnerDirectory
+class MultiCoreHierarchy
 {
   public:
     explicit MultiCoreHierarchy(const MultiCoreParams &params);
@@ -330,7 +302,13 @@ class MultiCoreHierarchy final : public SlcOwnerDirectory
     Dram &dram() { return dram_; }
     const MultiCoreParams &params() const { return params_; }
 
-    bool dropFromOwners(Addr addr, std::uint32_t owners) override;
+    /**
+     * Remove @p addr from the private levels of every core in
+     * @p owners (bit c = core c) -- the back-invalidation of an SLC
+     * eviction.
+     * @return true when any dropped private copy was dirty.
+     */
+    bool dropFromOwners(Addr addr, std::uint32_t owners);
 
     /**
      * Verify every invariant the protocol promises (test hook):

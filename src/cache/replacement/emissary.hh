@@ -9,7 +9,6 @@
 #ifndef TRRIP_CACHE_REPLACEMENT_EMISSARY_HH
 #define TRRIP_CACHE_REPLACEMENT_EMISSARY_HH
 
-#include <cstdio>
 #include <vector>
 
 #include "cache/replacement/policy.hh"
@@ -46,17 +45,6 @@ class EmissaryPolicy final : public ReplacementPolicy
         setProbability_(set_probability), rng_(0xe1155a47ull),
         stamps_(slots(), 0), priority_(slots(), 0)
     {}
-
-    std::string name() const override { return "Emissary"; }
-
-    std::string
-    describe() const override
-    {
-        char prob[24];
-        std::snprintf(prob, sizeof(prob), "%.17g", setProbability_);
-        return "Emissary(ways=" + std::to_string(priorityWays_) +
-               ",prob=" + prob + ")";
-    }
 
     PolicyKind kind() const override { return PolicyKind::Emissary; }
 

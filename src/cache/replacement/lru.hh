@@ -1,8 +1,8 @@
 /**
  * @file
  * Least-recently-used replacement (paper baseline for L1s, SLC, and the
- * LRU bar of Fig. 6).  Registered as "LRU" in the PolicyRegistry; it
- * has no tunable parameters, so name() and describe() coincide.
+ * LRU bar of Fig. 6).  Registered as "LRU" in the PolicyRegistry,
+ * with no tunable parameters.
  */
 
 #ifndef TRRIP_CACHE_REPLACEMENT_LRU_HH
@@ -46,8 +46,6 @@ class LruPolicy final : public ReplacementPolicy
                  "is not supported by the rank encoding");
         resetState();
     }
-
-    std::string name() const override { return "LRU"; }
 
     PolicyKind kind() const override { return PolicyKind::Lru; }
 

@@ -30,7 +30,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "cache/geometry.hh"
 #include "cache/line.hh"
@@ -113,18 +112,6 @@ class ReplacementPolicy
         slots_(static_cast<std::size_t>(geom.numSets()) * geom.assoc)
     {}
     virtual ~ReplacementPolicy() = default;
-
-    /** Short policy name, e.g. "SRRIP". */
-    virtual std::string name() const = 0;
-
-    /**
-     * Canonical spec of this instance with every resolved parameter
-     * spelled out, e.g. "SRRIP(bits=2)" -- what the result sinks
-     * record so a row's label never under-reports the configuration
-     * that produced it.  Matches PolicyRegistry::canonical() for the
-     * spec the policy was built from.
-     */
-    virtual std::string describe() const { return name(); }
 
     /** Concrete identity for the cache's compile-time dispatch. */
     virtual PolicyKind kind() const { return PolicyKind::Generic; }

@@ -15,6 +15,7 @@
 #include "cache/replacement/rrip.hh"
 #include "cache/replacement/ship.hh"
 #include "core/trrip_policy.hh"
+#include "util/error.hh"
 #include "util/logging.hh"
 
 namespace trrip {
@@ -65,6 +66,13 @@ joinKeys(const std::vector<ParamSchema> &params)
         out += p.key;
     }
     return out.empty() ? "<none>" : out;
+}
+
+/** Reject a policy spec: a bad spec fails the cell that names it. */
+[[noreturn]] void
+reject(std::string message)
+{
+    throw SimError(ErrorCategory::BuildFailure, std::move(message));
 }
 
 } // namespace
@@ -208,20 +216,19 @@ PolicyRegistry::names() const
     return out;
 }
 
-const PolicyRegistry::Entry *
-PolicyRegistry::find(const std::string &name) const
+const PolicyRegistry::Entry &
+PolicyRegistry::entry(const std::string &name) const
 {
     const auto it = byName_.find(name);
-    return it == byName_.end() ? nullptr : &entries_[it->second];
+    if (it == byName_.end())
+        reject(unknownPolicyMessage(name));
+    return entries_[it->second];
 }
 
 const PolicySchema &
 PolicyRegistry::schema(const std::string &name) const
 {
-    const Entry *entry = find(name);
-    if (!entry)
-        fatal(unknownPolicyMessage(name));
-    return entry->schema;
+    return entry(name).schema;
 }
 
 std::string
@@ -259,124 +266,82 @@ PolicyRegistry::suggest(const std::string &name) const
     return best_dist <= budget ? best : std::string();
 }
 
-bool
-PolicyRegistry::parseInto(const std::string &text, PolicySpec &out,
-                          std::string &error) const
+PolicySpec
+PolicyRegistry::parse(const std::string &text) const
 {
     const std::string spec = trim(text);
-    if (spec.empty()) {
-        error = "empty policy spec";
-        return false;
-    }
+    if (spec.empty())
+        reject("empty policy spec");
 
     std::string name = spec;
     std::string args;
     const std::size_t open = spec.find('(');
     if (open != std::string::npos) {
         if (spec.back() != ')') {
-            error = "malformed policy spec '" + spec +
-                    "': expected Name or Name(key=value,...)";
-            return false;
+            reject("malformed policy spec '" + spec +
+                   "': expected Name or Name(key=value,...)");
         }
         name = trim(spec.substr(0, open));
         args = spec.substr(open + 1, spec.size() - open - 2);
     }
     if (name.empty() ||
         name.find_first_of("(),=") != std::string::npos) {
-        error = "malformed policy spec '" + spec +
-                "': expected Name or Name(key=value,...)";
-        return false;
+        reject("malformed policy spec '" + spec +
+               "': expected Name or Name(key=value,...)");
     }
 
-    const Entry *entry = find(name);
-    if (!entry) {
-        error = unknownPolicyMessage(name);
-        return false;
-    }
-
+    const PolicySchema &sch = schema(name);
+    PolicySpec out;
     out.name_ = name;
-    out.params_.clear();
 
     std::istringstream is(args);
     std::string item;
     while (std::getline(is, item, ',')) {
         const std::string arg = trim(item);
         if (arg.empty()) {
-            error = "malformed policy spec '" + spec +
-                    "': empty parameter";
-            return false;
+            reject("malformed policy spec '" + spec +
+                   "': empty parameter");
         }
         const std::size_t eq = arg.find('=');
         if (eq == std::string::npos) {
-            error = "malformed policy spec '" + spec + "': '" + arg +
-                    "' is not key=value";
-            return false;
+            reject("malformed policy spec '" + spec + "': '" + arg +
+                   "' is not key=value");
         }
         const std::string key = trim(arg.substr(0, eq));
         const std::string value_text = trim(arg.substr(eq + 1));
 
-        const ParamSchema *param = entry->schema.param(key);
+        const ParamSchema *param = sch.param(key);
         if (!param) {
-            error = "policy '" + name + "' has no parameter '" + key +
-                    "' (parameters: " + joinKeys(entry->schema.params) +
-                    ")";
-            return false;
+            reject("policy '" + name + "' has no parameter '" + key +
+                   "' (parameters: " + joinKeys(sch.params) + ")");
         }
         if (out.has(key)) {
-            error = "duplicate parameter '" + key +
-                    "' in policy spec '" + spec + "'";
-            return false;
+            reject("duplicate parameter '" + key + "' in policy spec '" +
+                   spec + "'");
         }
 
         char *end = nullptr;
         const double value = std::strtod(value_text.c_str(), &end);
         if (value_text.empty() || !end || *end != '\0' ||
             !std::isfinite(value)) {
-            error = "parameter '" + key + "' of policy '" + name +
-                    "' has malformed value '" + value_text + "'";
-            return false;
+            reject("parameter '" + key + "' of policy '" + name +
+                   "' has malformed value '" + value_text + "'");
         }
         if (param->type == ParamType::Int &&
             value != std::floor(value)) {
-            error = "parameter '" + key + "' of policy '" + name +
-                    "' must be an integer (got " + value_text + ")";
-            return false;
+            reject("parameter '" + key + "' of policy '" + name +
+                   "' must be an integer (got " + value_text + ")");
         }
         if (value < param->minValue || value > param->maxValue) {
-            error = "parameter '" + key + "' of policy '" + name +
-                    "' out of range: " + policyValueString(value) +
-                    " not in [" + policyValueString(param->minValue) +
-                    ", " + policyValueString(param->maxValue) + "]";
-            return false;
+            reject("parameter '" + key + "' of policy '" + name +
+                   "' out of range: " + policyValueString(value) +
+                   " not in [" + policyValueString(param->minValue) +
+                   ", " + policyValueString(param->maxValue) + "]");
         }
         out.params_.emplace_back(key, value);
     }
     std::sort(out.params_.begin(), out.params_.end());
-    return true;
-}
-
-PolicySpec
-PolicyRegistry::parse(const std::string &text) const
-{
-    PolicySpec spec;
-    std::string error;
-    if (!parseInto(text, spec, error))
-        fatal(error);
-    return spec;
-}
-
-std::optional<PolicySpec>
-PolicyRegistry::tryParse(const std::string &text,
-                         std::string *error) const
-{
-    PolicySpec spec;
-    std::string err;
-    if (!parseInto(text, spec, err)) {
-        if (error)
-            *error = err;
-        return std::nullopt;
-    }
-    return spec;
+    return out;
 }
 
 std::string
@@ -404,23 +369,24 @@ PolicyRegistry::canonical(const PolicySpec &spec) const
 std::string
 PolicyRegistry::canonicalLabel(const std::string &label) const
 {
-    const auto spec = tryParse(label);
-    return spec ? canonical(*spec) : label;
+    try {
+        return canonical(parse(label));
+    } catch (const SimError &) {
+        return label;   // A free-form label, not a policy spec.
+    }
 }
 
 std::unique_ptr<ReplacementPolicy>
 PolicyRegistry::instantiate(const PolicySpec &spec,
                             const CacheGeometry &geom) const
 {
-    const Entry *entry = find(spec.name());
-    if (!entry)
-        schema(spec.name()); // Fatal with the full diagnostic.
+    const Entry &e = entry(spec.name());
     ResolvedParams resolved;
-    for (const auto &p : entry->schema.params)
+    for (const auto &p : e.schema.params)
         resolved.values_[p.key] = p.defaultValue;
     for (const auto &[k, v] : spec.params())
         resolved.values_[k] = v;
-    auto policy = entry->factory(geom, resolved);
+    auto policy = e.factory(geom, resolved);
     panic_if(!policy, "policy '", spec.name(),
              "' factory returned null");
     return policy;

@@ -14,13 +14,12 @@
  *
  * e.g. "SRRIP", "SRRIP(bits=3)", "DRRIP(psel_bits=10,throttle=32)".
  * Parsing validates names, keys and ranges against the schema and
- * fails with messages that list what *is* valid (including a
- * nearest-name suggestion for typos).  Specs round-trip:
- * parse(spec.print()) == spec, and canonical() spells out every
- * parameter so sink labels never under-report the configuration.
- *
- * This replaces the hard-coded if-chain of core/policy_factory
- * (retained only as a deprecated compatibility shim).
+ * throws SimError(BuildFailure) with messages that list what *is*
+ * valid (including a nearest-name suggestion for typos), so a bad spec
+ * on an experiment axis fails its cells instead of the process.
+ * Specs round-trip: parse(spec.print()) == spec, and canonical()
+ * spells out every parameter so sink labels never under-report the
+ * configuration.
  */
 
 #ifndef TRRIP_CORE_POLICY_REGISTRY_HH
@@ -29,7 +28,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -69,8 +67,8 @@ struct PolicySchema
  * given parameter overrides (validated, key-sorted).  Implicitly
  * constructible from a spec string, so option structs can be assigned
  * plain strings: opts.hier.l1iPolicy = "TRRIP-1(bits=3)".
- * Construction is fatal on malformed specs, unknown names/keys and
- * out-of-range values.
+ * Construction throws SimError(BuildFailure) on malformed specs,
+ * unknown names/keys and out-of-range values.
  */
 class PolicySpec
 {
@@ -141,18 +139,19 @@ class PolicyRegistry
     bool known(const std::string &name) const;
     /** Registered names, in registration order. */
     std::vector<std::string> names() const;
-    /** Schema of @p name; fatal (with suggestions) when unknown. */
+    /**
+     * Schema of @p name; throws SimError(BuildFailure), with
+     * suggestions, when unknown.
+     */
     const PolicySchema &schema(const std::string &name) const;
 
     /**
-     * Parse a spec string; fatal with a message listing the registered
-     * names (unknown policy), the policy's parameter keys (unknown
-     * key), or the violated bounds (out-of-range value).
+     * Parse a spec string; throws SimError(BuildFailure) with a
+     * message listing the registered names (unknown policy), the
+     * policy's parameter keys (unknown key), or the violated bounds
+     * (out-of-range value).
      */
     PolicySpec parse(const std::string &text) const;
-    /** Non-fatal parse; on failure returns nullopt and sets @p error. */
-    std::optional<PolicySpec> tryParse(const std::string &text,
-                                       std::string *error = nullptr) const;
 
     /** Fully resolved form of @p spec (every parameter spelled out). */
     std::string canonical(const PolicySpec &spec) const;
@@ -167,7 +166,8 @@ class PolicyRegistry
     /**
      * Instantiate @p spec for @p geom.  PolicySpec converts
      * implicitly from spec strings, so instantiate("SRRIP(bits=3)",
-     * geom) parses and constructs in one call.
+     * geom) parses and constructs in one call.  Throws
+     * SimError(BuildFailure) when the name is not registered.
      */
     std::unique_ptr<ReplacementPolicy>
     instantiate(const PolicySpec &spec, const CacheGeometry &geom) const;
@@ -187,9 +187,8 @@ class PolicyRegistry
         Factory factory;
     };
 
-    const Entry *find(const std::string &name) const;
-    bool parseInto(const std::string &text, PolicySpec &out,
-                   std::string &error) const;
+    /** Entry of @p name; throws SimError(BuildFailure) if unknown. */
+    const Entry &entry(const std::string &name) const;
     /** "unknown replacement policy ..." with hint + registered list. */
     std::string unknownPolicyMessage(const std::string &name) const;
 

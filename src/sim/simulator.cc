@@ -123,11 +123,12 @@ Lane::Lane(RunArtifacts art_in, std::unique_ptr<PageTable> page_table,
         ownHier = std::make_unique<CacheHierarchy>(options.hier);
         hier = ownHier.get();
     }
+    const HierarchyParams &hp = hier->params();
     art.resolvedPolicies = {
-        {"L1I", hier->l1i().policy().describe()},
-        {"L1D", hier->l1d().policy().describe()},
-        {"L2", hier->l2().policy().describe()},
-        {"SLC", hier->slc().policy().describe()},
+        {"L1I", hp.l1iPolicy.canonical()},
+        {"L1D", hp.l1dPolicy.canonical()},
+        {"L2", hp.l2Policy.canonical()},
+        {"SLC", hp.slcPolicy.canonical()},
     };
     if (options.reuse)
         hier->setL2Observer(options.reuse);

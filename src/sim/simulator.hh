@@ -73,8 +73,9 @@ struct RunArtifacts
     LoadStats loadStats;
     SimResult result;
     /**
-     * Level label -> ReplacementPolicy::describe() of the policy that
-     * actually ran there ({"L1I", "LRU"}, {"L2", "TRRIP-2(bits=2)"},
+     * Level label -> canonical spec (PolicySpec::canonical()) of the
+     * policy that actually ran there, read from the params of the
+     * stack the lane ran on ({"L1I", "LRU"}, {"L2", "TRRIP-2(bits=2)"},
      * ...), recorded so result sinks can emit the fully resolved
      * configuration alongside every row.
      */

@@ -494,11 +494,12 @@ TEST(Hierarchy, DramResetClearsState)
 // ---------- Randomized cascade / prefetch differential suite ----------
 
 /**
- * Reference reimplementation of the hierarchy's demand, prefetch and
- * eviction sequencing as separate probe-per-step calls on the public
- * Cache API -- the pre-fusion CacheHierarchy of PR 3/4 (two flat-map
- * probes per miss, materialize-then-access, back-invalidate both L1s
- * on every L2 eviction, optional<CacheLine> victims).  The fused
+ * Reference reimplementation of the single-core hierarchy's (inclusive
+ * L2, exclusive SLC) demand, prefetch and eviction sequencing as
+ * separate probe-per-step calls on the public Cache API -- the
+ * pre-fusion CacheHierarchy of PR 3/4 (two flat-map probes per miss,
+ * materialize-then-access, back-invalidate both L1s on every L2
+ * eviction, optional<CacheLine> victims).  The fused
  * single-walk cascades in hierarchy.cc must stay behaviorally
  * identical to this straightforward form on any access stream: same
  * per-access outcome, same counter totals, same in-flight contents.
@@ -630,10 +631,7 @@ class ReferenceHierarchy
             }
         }
 
-        const bool slc_hit = params_.slcExclusive
-                                 ? slc_.accessInvalidate(req)
-                                 : slc_.access(req);
-        if (slc_hit) {
+        if (slc_.accessInvalidate(req)) {
             out.servedBy = ServedBy::Slc;
             out.latency = params_.l2TagLat + params_.slcTagLat +
                           params_.slcDataLat;
@@ -703,12 +701,10 @@ class ReferenceHierarchy
         if (!evicted)
             return;
         CacheLine victim = *evicted;
-        if (params_.l2Inclusive) {
-            l1i_.invalidate(victim.addr);
-            if (auto l1line = l1d_.invalidate(victim.addr);
-                l1line && l1line->dirty) {
-                victim.dirty = true;
-            }
+        l1i_.invalidate(victim.addr);
+        if (auto l1line = l1d_.invalidate(victim.addr);
+            l1line && l1line->dirty) {
+            victim.dirty = true;
         }
         victimToSlc(victim, now);
     }
@@ -716,13 +712,6 @@ class ReferenceHierarchy
     void
     victimToSlc(const CacheLine &line, Cycles now)
     {
-        if (!params_.slcExclusive) {
-            const bool present = line.dirty
-                                     ? slc_.markDirty(line.addr)
-                                     : slc_.contains(line.addr);
-            if (present)
-                return;
-        }
         MemRequest req;
         req.vaddr = req.paddr = line.addr;
         req.pc = 0;
@@ -931,21 +920,6 @@ TEST(HierarchyDifferential, FusedCascadesMatchReferenceTrrip)
     HierarchyParams hp = diffParams();
     hp.l2Policy = PolicySpec("TRRIP-2");
     runHierarchyDifferential(hp, 31, 20000);
-}
-
-TEST(HierarchyDifferential, FusedCascadesMatchReferenceNonExclusive)
-{
-    HierarchyParams hp = diffParams();
-    hp.slcExclusive = false;
-    hp.l2Policy = PolicySpec("LRU");
-    runHierarchyDifferential(hp, 41, 20000);
-}
-
-TEST(HierarchyDifferential, FusedCascadesMatchReferenceNonInclusive)
-{
-    HierarchyParams hp = diffParams();
-    hp.l2Inclusive = false;
-    runHierarchyDifferential(hp, 51, 20000);
 }
 
 TEST(HierarchyDifferential, FusedCascadesMatchReferenceTinyPrune)

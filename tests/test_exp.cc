@@ -296,36 +296,53 @@ TEST(ExperimentRunner, CustomRunCellBypassesSimulation)
     EXPECT_EQ(results.at(0, 1).metrics.at("policy_index"), 1.0);
 }
 
-TEST(ExperimentRunner, UnknownProxyIsABuildFailureRow)
+TEST(ExperimentRunner, BadLabelOrSpecIsABuildFailureRow)
 {
-    exp::ExperimentSpec spec;
-    spec.name = "unknown_proxy";
-    spec.workloads = {"nosuch", "gcc"};
-    spec.policies = {"SRRIP"};
-    spec.options.maxInstructions = 20'000;
-    spec.options.profileInstructions = 10'000;
-    spec.onError.mode = exp::OnError::Mode::Skip;
-    exp::ExperimentRunner runner(2);
+    // Each bad input runs next to the good gcc / SRRIP cell.
+    struct BadInput
+    {
+        std::string workload, policy, message;
+    };
+    const std::vector<BadInput> inputs = {
+        {"nosuch", "SRRIP", "unknown workload: nosuch"},
+        {"gcc", "SRRIP(bits=99)", "out of range: 99 not in [1, 8]"},
+        {"gcc", "NOPE", "unknown replacement policy 'NOPE'"},
+    };
+    for (const BadInput &in : inputs) {
+        SCOPED_TRACE(in.workload + " / " + in.policy);
+        exp::ExperimentSpec spec;
+        spec.name = "bad_input";
+        spec.workloads = {in.workload};
+        if (in.workload != "gcc")
+            spec.workloads.push_back("gcc");
+        spec.policies = {in.policy};
+        if (in.policy != "SRRIP")
+            spec.policies.push_back("SRRIP");
+        spec.options.maxInstructions = 20'000;
+        spec.options.profileInstructions = 10'000;
+        spec.onError.mode = exp::OnError::Mode::Skip;
+        exp::ExperimentRunner runner(2);
 
-    // Skip: the bad label is one categorized row, the rest completes.
-    const auto results = runner.run(spec);
-    const exp::CellRecord &bad = results.at("nosuch", "SRRIP");
-    EXPECT_TRUE(bad.failed);
-    EXPECT_EQ(bad.errorCategory, "build_failure");
-    EXPECT_NE(bad.errorMessage.find("unknown workload: nosuch"),
-              std::string::npos)
-        << bad.errorMessage;
-    EXPECT_FALSE(results.at("gcc", "SRRIP").failed);
-    EXPECT_EQ(results.cellsFailed, 1u);
+        // Skip: the bad input is one categorized row, the rest
+        // completes.
+        const auto results = runner.run(spec);
+        const exp::CellRecord &bad = results.at(in.workload, in.policy);
+        EXPECT_TRUE(bad.failed);
+        EXPECT_EQ(bad.errorCategory, "build_failure");
+        EXPECT_NE(bad.errorMessage.find(in.message), std::string::npos)
+            << bad.errorMessage;
+        EXPECT_FALSE(results.at("gcc", "SRRIP").failed);
+        EXPECT_EQ(results.cellsFailed, 1u);
 
-    // Abort: wait() rethrows the build failure.
-    spec.onError.mode = exp::OnError::Mode::Abort;
-    try {
-        runner.run(spec);
-        ADD_FAILURE() << "Abort-mode grid with an unknown proxy ran";
-    } catch (const SimError &e) {
-        EXPECT_EQ(e.category(), ErrorCategory::BuildFailure)
-            << e.what();
+        // Abort: wait() rethrows the build failure.
+        spec.onError.mode = exp::OnError::Mode::Abort;
+        try {
+            runner.run(spec);
+            ADD_FAILURE() << "Abort-mode grid with a bad input ran";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.category(), ErrorCategory::BuildFailure)
+                << e.what();
+        }
     }
 }
 

@@ -528,6 +528,41 @@ TEST(MultiCoreRunner, CellsEqualDirectCalls)
     }
 }
 
+TEST(MultiCoreRunner, BundleRecordsResolvedPolicies)
+{
+    // A bundle cell's policy labels come from the stacks its lanes
+    // ran on: the policy axis in every private L2, the shared SLC's
+    // own spec for the SLC.
+    exp::ExperimentSpec spec;
+    spec.name = "mc_resolved_policies";
+    spec.workloads = {"mc:gcc+gcc"};
+    spec.policies = {"TRRIP-2(bits=3)"};
+    spec.options.maxInstructions = 20'000;
+    spec.options.profileInstructions = 10'000;
+    spec.options.hier.slcPolicy = "SRRIP";
+    const std::vector<std::pair<std::string, std::string>> want = {
+        {"L1I", "LRU"},
+        {"L1D", "LRU"},
+        {"L2", "TRRIP-2(bits=3)"},
+        {"SLC", "SRRIP(bits=2)"}};
+
+    exp::ExperimentRunner runner(1);
+    const exp::ExperimentResults results = runner.run(spec, {});
+    const exp::CellRecord &rec =
+        results.at("mc:gcc+gcc", "TRRIP-2(bits=3)");
+    ASSERT_FALSE(rec.failed) << rec.errorMessage;
+    EXPECT_EQ(rec.artifacts.resolvedPolicies, want);
+
+    // Every lane of the direct run records the same labels.
+    MultiCoreOptions mo;
+    mo.base = spec.options;
+    const MultiCoreResult mc =
+        runMultiCore({"gcc", "gcc"}, "TRRIP-2(bits=3)", mo);
+    ASSERT_EQ(mc.cores.size(), 2u);
+    for (const RunArtifacts &core : mc.cores)
+        EXPECT_EQ(core.resolvedPolicies, want);
+}
+
 TEST(MultiCoreGolden, DriverIsDeterministicAcrossRuns)
 {
     MultiCoreOptions mo;

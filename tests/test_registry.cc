@@ -1,21 +1,29 @@
 /**
  * @file
  * Tests for the PolicyRegistry and the policy-spec grammar: round-trip
- * parse/print for every registered policy, schema completeness,
- * error diagnostics (unknown policy with nearest-match suggestion,
- * unknown key, out-of-range and malformed values), per-level policy
- * assignment, and byte-identical BENCH output between a bare policy
- * name and its fully spelled-out spec.
+ * parse/print for every registered policy, schema completeness (every
+ * parameter observably reaches the instance), error diagnostics
+ * (unknown policy with nearest-match suggestion, unknown key,
+ * out-of-range and malformed values, each a BuildFailure SimError),
+ * per-level policy assignment, and byte-identical BENCH output between
+ * a bare policy name and its fully spelled-out spec.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <map>
 #include <sstream>
 
 #include "cache/hierarchy.hh"
+#include "cache/replacement/clip.hh"
+#include "cache/replacement/drrip.hh"
+#include "cache/replacement/emissary.hh"
+#include "cache/replacement/ship.hh"
 #include "core/policy_registry.hh"
+#include "core/trrip_policy.hh"
 #include "exp/runner.hh"
 #include "exp/sink.hh"
 #include "sim/simulator.hh"
@@ -94,11 +102,6 @@ TEST(PolicyRegistryCompleteness, EveryPolicyConstructsWithDefaults)
     for (const auto &name : reg().names()) {
         auto policy = reg().instantiate(name, geom());
         ASSERT_NE(policy, nullptr) << name;
-        EXPECT_FALSE(policy->name().empty()) << name;
-        // describe() must be the canonical fully-resolved spec.
-        EXPECT_EQ(policy->describe(),
-                  reg().canonical(reg().parse(name)))
-            << name;
     }
 }
 
@@ -125,79 +128,220 @@ TEST(PolicyRegistryCompleteness, EvaluatedNamesAreRegistered)
     EXPECT_FALSE(reg().helpText().empty());
 }
 
+MemRequest
+instReq(Addr pc, bool priority = false)
+{
+    MemRequest r;
+    r.vaddr = r.paddr = r.pc = pc;
+    r.type = AccessType::InstFetch;
+    r.priority = priority;
+    return r;
+}
+
+MemRequest
+loadReq(Addr addr)
+{
+    MemRequest r;
+    r.vaddr = r.paddr = r.pc = addr;
+    r.type = AccessType::Load;
+    return r;
+}
+
+const SetDueling &
+duelingOf(ReplacementPolicy &p)
+{
+    if (auto *drrip = dynamic_cast<DrripPolicy *>(&p))
+        return drrip->dueling();
+    return dynamic_cast<ClipPolicy &>(p).dueling();
+}
+
+/** Of 8 data fills into @p set, how many inserted at Intermediate. */
+double
+intermediateFills(ReplacementPolicy &p, std::uint32_t set)
+{
+    auto &rrip = dynamic_cast<RripBase &>(p);
+    int n = 0;
+    for (std::uint32_t i = 0; i < 8; ++i) {
+        rrip.onFill(set, i % 4, loadReq(0x1000 + i * 64));
+        n += rrip.rrpvOf(set, i % 4) == rrip.intermediate() ? 1 : 0;
+    }
+    return n;
+}
+
+using Probe = std::function<double(ReplacementPolicy &)>;
+
+/**
+ * One observable per registered "Policy.key" parameter, read off an
+ * instance for geom(): an accessor the policy already has, else its
+ * behaviour on a fixed short stream.
+ */
+const std::map<std::string, Probe> &
+parameterProbes()
+{
+    static const std::map<std::string, Probe> probes = [] {
+        const Probe distant = [](ReplacementPolicy &p) {
+            return double(dynamic_cast<RripBase &>(p).distant());
+        };
+        // Leader sets of either constituency across the whole cache.
+        const Probe leaders = [](ReplacementPolicy &p) {
+            int n = 0;
+            for (std::uint32_t s = 0; s < geom().numSets(); ++s)
+                n += duelingOf(p).leaderOf(s) >= 0 ? 1 : 0;
+            return double(n);
+        };
+        // PSEL starts at its midpoint, 2^(psel_bits-1).
+        const Probe psel = [](ReplacementPolicy &p) {
+            return double(duelingOf(p).pselValue());
+        };
+        std::map<std::string, Probe> m;
+        for (const char *name : {"SRRIP", "BRRIP", "DRRIP", "SHiP",
+                                 "CLIP", "TRRIP-1", "TRRIP-2"})
+            m[std::string(name) + ".bits"] = distant;
+        m["DRRIP.leader_sets"] = leaders;
+        m["CLIP.leader_sets"] = leaders;
+        m["DRRIP.psel_bits"] = psel;
+        m["CLIP.psel_bits"] = psel;
+        m["BRRIP.throttle"] = [](ReplacementPolicy &p) {
+            return intermediateFills(p, 0);
+        };
+        // DRRIP's throttle shows in a set leading the BRRIP side.
+        m["DRRIP.throttle"] = [](ReplacementPolicy &p) {
+            std::uint32_t set = 0;
+            while (duelingOf(p).leaderOf(set) != 1)
+                ++set;
+            return intermediateFills(p, set);
+        };
+        // A dead-on-arrival signature (counter trained to zero) makes
+        // another PC Distant only when the SHCT is small enough for
+        // the two signatures (0x10, 0x20) to share an entry.
+        m["SHiP.shct_bits"] = [](ReplacementPolicy &p) {
+            auto &ship = dynamic_cast<ShipPolicy &>(p);
+            ship.onFill(0, 0, instReq(0x40));
+            ship.onEvict(0, 0);
+            ship.onFill(0, 1, instReq(0x80));
+            return double(ship.rrpvOf(0, 1));
+        };
+        m["Random.seed"] = [](ReplacementPolicy &p) {
+            double victims = 0;
+            for (int i = 0; i < 16; ++i)
+                victims = victims * 4 + p.victim(0, loadReq(0));
+            return victims;
+        };
+        // With way 0 the LRU line and the only priority line.
+        m["Emissary.ways"] = [](ReplacementPolicy &p) {
+            for (std::uint32_t w = 0; w < 4; ++w)
+                p.onFill(0, w, instReq(0x100 + w * 64));
+            p.onPriorityHint(0, 0);
+            return double(p.victim(0, loadReq(0)));
+        };
+        m["Emissary.prob"] = [](ReplacementPolicy &p) {
+            auto &emissary = dynamic_cast<EmissaryPolicy &>(p);
+            int set_bits = 0;
+            for (std::uint32_t i = 0; i < 16; ++i) {
+                emissary.onFill(0, i % 4, instReq(0x100, true));
+                set_bits += emissary.priorityOf(0, i % 4) ? 1 : 0;
+            }
+            return double(set_bits);
+        };
+        return m;
+    }();
+    return probes;
+}
+
 TEST(PolicyRegistryCompleteness, ParametersReachThePolicy)
 {
-    // Spot checks that spec values actually land in the instances.
-    auto srrip = reg().instantiate("SRRIP(bits=4)", geom());
-    EXPECT_EQ(srrip->describe(), "SRRIP(bits=4)");
-    auto ship = reg().instantiate("SHiP(shct_bits=14)", geom());
-    EXPECT_EQ(ship->describe(), "SHiP(bits=2,shct_bits=14)");
-    auto trrip = reg().instantiate("TRRIP-2(bits=3)", geom());
-    EXPECT_EQ(trrip->describe(), "TRRIP-2(bits=3)");
-    // name() must not claim the default configuration (satellite fix).
-    EXPECT_EQ(trrip->name(), "TRRIP-2(bits=3)");
-    EXPECT_EQ(reg().instantiate("TRRIP-2", geom())->name(), "TRRIP-2");
+    // Every schema parameter, moved off its default to the other end
+    // of its range, must change what its probe observes.
+    for (const auto &name : reg().names()) {
+        if (name == "TestPseudoLRU")
+            continue;   // Registered by the extension test below.
+        for (const ParamSchema &param : reg().schema(name).params) {
+            const std::string id = name + "." + param.key;
+            const auto probe = parameterProbes().find(id);
+            ASSERT_NE(probe, parameterProbes().end())
+                << id << " has no probe";
+            const double value = param.minValue != param.defaultValue
+                                     ? param.minValue
+                                     : param.maxValue;
+            const std::string spec = name + "(" + param.key + "=" +
+                                     policyValueString(value) + ")";
+            auto base = reg().instantiate(name, geom());
+            auto tuned = reg().instantiate(spec, geom());
+            EXPECT_NE(probe->second(*base), probe->second(*tuned))
+                << spec << " did not reach the instance";
+        }
+    }
 }
 
 // ------------------------------ errors ------------------------------
 
-using PolicyRegistryDeath = ::testing::Test;
-
-TEST(PolicyRegistryDeath, UnknownPolicySuggestsNearestMatch)
+/** The BuildFailure message parse() throws for @p spec. */
+std::string
+parseError(const std::string &spec)
 {
-    EXPECT_EXIT(reg().parse("TRRIP2"), ::testing::ExitedWithCode(1),
-                "did you mean 'TRRIP-2'");
-    EXPECT_EXIT(reg().parse("srip"), ::testing::ExitedWithCode(1),
-                "did you mean 'SRRIP'");
+    try {
+        reg().parse(spec);
+    } catch (const SimError &e) {
+        EXPECT_EQ(e.category(), ErrorCategory::BuildFailure) << spec;
+        return e.message();
+    }
+    ADD_FAILURE() << "'" << spec << "' parsed";
+    return "";
 }
 
-TEST(PolicyRegistryDeath, UnknownPolicyListsRegisteredNames)
+void
+expectParseError(const std::string &spec, const std::string &needle)
 {
-    EXPECT_EXIT(reg().parse("NotAPolicy"),
-                ::testing::ExitedWithCode(1),
-                "registered: LRU, Random, SRRIP, BRRIP, DRRIP, SHiP, "
-                "CLIP, Emissary, TRRIP-1, TRRIP-2");
+    const std::string message = parseError(spec);
+    EXPECT_NE(message.find(needle), std::string::npos)
+        << spec << ": " << message;
 }
 
-TEST(PolicyRegistryDeath, UnknownKeyListsParameters)
+TEST(PolicyRegistryErrors, UnknownPolicySuggestsNearestMatch)
 {
-    EXPECT_EXIT(reg().parse("SRRIP(bitz=2)"),
-                ::testing::ExitedWithCode(1),
-                "no parameter 'bitz' \\(parameters: bits\\)");
+    expectParseError("TRRIP2", "did you mean 'TRRIP-2'");
+    expectParseError("srip", "did you mean 'SRRIP'");
 }
 
-TEST(PolicyRegistryDeath, OutOfRangeValueShowsBounds)
+TEST(PolicyRegistryErrors, UnknownPolicyListsRegisteredNames)
 {
-    EXPECT_EXIT(reg().parse("SRRIP(bits=9)"),
-                ::testing::ExitedWithCode(1),
-                "out of range: 9 not in \\[1, 8\\]");
+    expectParseError("NotAPolicy",
+                     "registered: LRU, Random, SRRIP, BRRIP, DRRIP, "
+                     "SHiP, CLIP, Emissary, TRRIP-1, TRRIP-2");
+    EXPECT_THROW(reg().schema("NotAPolicy"), SimError);
+    EXPECT_THROW(reg().instantiate(PolicySpec(), geom()), SimError);
 }
 
-TEST(PolicyRegistryDeath, MalformedSpecsRejected)
+TEST(PolicyRegistryErrors, UnknownKeyListsParameters)
 {
-    EXPECT_EXIT(reg().parse("SRRIP(bits=2"),
-                ::testing::ExitedWithCode(1), "malformed");
-    EXPECT_EXIT(reg().parse("SRRIP(bits)"),
-                ::testing::ExitedWithCode(1), "not key=value");
-    EXPECT_EXIT(reg().parse("SRRIP(bits=two)"),
-                ::testing::ExitedWithCode(1), "malformed value");
-    EXPECT_EXIT(reg().parse("SRRIP(bits=2.5)"),
-                ::testing::ExitedWithCode(1), "must be an integer");
-    EXPECT_EXIT(reg().parse("SRRIP(bits=2,bits=3)"),
-                ::testing::ExitedWithCode(1), "duplicate parameter");
-    EXPECT_EXIT(reg().parse(""), ::testing::ExitedWithCode(1),
-                "empty policy spec");
+    expectParseError("SRRIP(bitz=2)",
+                     "no parameter 'bitz' (parameters: bits)");
 }
 
-TEST(PolicyRegistryTryParse, ReportsWithoutDying)
+TEST(PolicyRegistryErrors, OutOfRangeValueShowsBounds)
 {
-    std::string error;
-    EXPECT_FALSE(reg().tryParse("Bogus", &error).has_value());
-    EXPECT_NE(error.find("unknown replacement policy"),
-              std::string::npos);
-    EXPECT_TRUE(reg().tryParse("CLIP(psel_bits=12)").has_value());
+    expectParseError("SRRIP(bits=9)", "out of range: 9 not in [1, 8]");
+    expectParseError("SRRIP(bits=99)",
+                     "out of range: 99 not in [1, 8]");
+}
+
+TEST(PolicyRegistryErrors, MalformedSpecsRejected)
+{
+    expectParseError("SRRIP(bits=2", "malformed");
+    expectParseError("SRRIP(bits)", "not key=value");
+    expectParseError("SRRIP(bits=two)", "malformed value");
+    expectParseError("SRRIP(bits=2.5)", "must be an integer");
+    expectParseError("SRRIP(bits=2,bits=3)", "duplicate parameter");
+    expectParseError("", "empty policy spec");
+    // The implicit string conversion parses, so it throws too.
+    EXPECT_THROW(PolicySpec("Bogus"), SimError);
+}
+
+TEST(PolicyRegistryErrors, CanonicalLabelPassesFreeFormLabels)
+{
     // Non-policy labels pass through canonicalLabel untouched.
     EXPECT_EQ(reg().canonicalLabel("mcpat-row"), "mcpat-row");
+    EXPECT_EQ(reg().canonicalLabel("SRRIP(bits=99)"), "SRRIP(bits=99)");
     EXPECT_EQ(reg().canonicalLabel("CLIP"),
               "CLIP(bits=2,leader_sets=32,psel_bits=10)");
 }
@@ -222,7 +366,7 @@ TEST(PolicyRegistryExtension, UserPoliciesSelfRegister)
     }
     EXPECT_TRUE(reg().known("TestPseudoLRU"));
     Cache cache(geom(), PolicySpec("TestPseudoLRU(depth=3)"));
-    EXPECT_EQ(cache.policy().name(), "LRU");
+    EXPECT_EQ(cache.policy().kind(), PolicyKind::Lru);
 }
 
 // ------------------------- per-level specs --------------------------
@@ -239,10 +383,14 @@ TEST(PerLevelPolicies, HierarchyBuildsEveryLevelFromSpecs)
     hp.l2Policy = "TRRIP-2";
     hp.slcPolicy = "SRRIP";
     CacheHierarchy h(hp);
-    EXPECT_EQ(h.l1i().policy().describe(), "TRRIP-1(bits=3)");
-    EXPECT_EQ(h.l1d().policy().name(), "Random");
-    EXPECT_EQ(h.l2().policy().describe(), "TRRIP-2(bits=2)");
-    EXPECT_EQ(h.slc().policy().describe(), "SRRIP(bits=2)");
+    const auto &l1i = dynamic_cast<const TrripPolicy &>(h.l1i().policy());
+    EXPECT_EQ(l1i.variant(), TrripVariant::V1);
+    EXPECT_EQ(l1i.distant(), 7);    // bits=3
+    EXPECT_EQ(h.l1d().policy().kind(), PolicyKind::Random);
+    const auto &l2 = dynamic_cast<const TrripPolicy &>(h.l2().policy());
+    EXPECT_EQ(l2.variant(), TrripVariant::V2);
+    EXPECT_EQ(l2.distant(), 3);
+    EXPECT_EQ(h.slc().policy().kind(), PolicyKind::Srrip);
 }
 
 TEST(PerLevelPolicies, RunWorkloadRecordsResolvedPolicies)

@@ -54,10 +54,10 @@ class TrripPolicyTest : public ::testing::Test
     TrripPolicy v2_;
 };
 
-TEST_F(TrripPolicyTest, Names)
+TEST_F(TrripPolicyTest, Variants)
 {
-    EXPECT_EQ(v1_.name(), "TRRIP-1");
-    EXPECT_EQ(v2_.name(), "TRRIP-2");
+    EXPECT_EQ(v1_.variant(), TrripVariant::V1);
+    EXPECT_EQ(v2_.variant(), TrripVariant::V2);
 }
 
 TEST_F(TrripPolicyTest, HotFillInsertsImmediate)
