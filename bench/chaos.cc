@@ -82,9 +82,8 @@ verifyGoldens(ExperimentRunner &runner)
     spec.policies = {"pinned"};
     spec.runCell = [&cases](const CellContext &ctx) {
         const GoldenCase &c = cases[ctx.id.workload];
-        auto pipeline = ctx.arena->makeUnique<CoDesignPipeline>(
-            proxyParams(c.workload));
-        const RunArtifacts art = pipeline->run(c.policy, c.options());
+        const CoDesignPipeline pipeline(proxyParams(c.workload));
+        const RunArtifacts art = pipeline.run(c.policy, c.options());
         CellOutcome out;
         out.metrics["fingerprint_ok"] =
             goldenFingerprint(art.result) == c.expected ? 1.0 : 0.0;

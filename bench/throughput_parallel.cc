@@ -93,10 +93,9 @@ warmup(ExperimentRunner &runner, ExperimentSpec spec)
 }
 
 /**
- * Re-verify the 16 pinned golden tuples through the parallel
- * submit() path: one free-form cell per tuple, each building its
- * pipeline out of the executing worker's arena.  Returns how many
- * matched.
+ * Re-verify the 16 pinned proxy golden tuples through the parallel
+ * submit() path: one free-form cell per tuple, each running its own
+ * pipeline.  Returns how many matched.
  */
 std::size_t
 verifyGoldens(ExperimentRunner &runner)
@@ -110,11 +109,8 @@ verifyGoldens(ExperimentRunner &runner)
     spec.policies = {"pinned"};
     spec.runCell = [&cases](const CellContext &ctx) {
         const GoldenCase &c = cases[ctx.id.workload];
-        // The pipeline is scratch for this one cell: carve it from
-        // the worker's private arena and drop it before returning.
-        auto pipeline = ctx.arena->makeUnique<CoDesignPipeline>(
-            proxyParams(c.workload));
-        const RunArtifacts art = pipeline->run(c.policy, c.options());
+        const CoDesignPipeline pipeline(proxyParams(c.workload));
+        const RunArtifacts art = pipeline.run(c.policy, c.options());
         CellOutcome out;
         out.metrics["fingerprint_ok"] =
             goldenFingerprint(art.result) == c.expected ? 1.0 : 0.0;

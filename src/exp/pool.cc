@@ -103,7 +103,7 @@ WorkerPool::~WorkerPool()
 void
 WorkerPool::setItemTimeout(std::uint64_t ms)
 {
-    itemTimeoutMs_.store(ms, std::memory_order_relaxed);
+    timeoutMs_.store(ms, std::memory_order_relaxed);
     if (ms == 0)
         return;
     std::lock_guard<std::mutex> lock(watchdogMutex_);
@@ -115,7 +115,7 @@ void
 WorkerPool::armDeadline(unsigned id)
 {
     const std::uint64_t ms =
-        itemTimeoutMs_.load(std::memory_order_relaxed);
+        timeoutMs_.load(std::memory_order_relaxed);
     WorkerSlot &slot = *slots_[id];
     std::lock_guard<std::mutex> lock(slot.deadlineMutex);
     // Always clear the token: a cancellation that fired after the
@@ -151,7 +151,7 @@ WorkerPool::watchdogMain()
         // timeout is still caught promptly and a huge one does not
         // spin.
         const std::uint64_t ms =
-            itemTimeoutMs_.load(std::memory_order_relaxed);
+            timeoutMs_.load(std::memory_order_relaxed);
         const std::uint64_t poll =
             ms == 0 ? 50 : std::max<std::uint64_t>(
                                1, std::min<std::uint64_t>(ms / 4, 50));
@@ -168,14 +168,11 @@ WorkerPool::watchdogMain()
 }
 
 std::shared_ptr<WorkerPool::Batch>
-WorkerPool::submit(std::size_t items, ItemFn fn, unsigned width_cap,
+WorkerPool::submit(std::size_t items, ItemFn fn,
                    std::function<void()> on_complete)
 {
-    const std::size_t width = std::max<std::size_t>(
-        1, std::min({static_cast<std::size_t>(threads()),
-                     width_cap > 0 ? static_cast<std::size_t>(width_cap)
-                                   : static_cast<std::size_t>(threads()),
-                     std::max<std::size_t>(items, 1)}));
+    const std::size_t width = std::min<std::size_t>(
+        threads(), std::max<std::size_t>(items, 1));
     std::shared_ptr<Batch> batch(
         new Batch(items, width, std::move(fn), std::move(on_complete)));
     if (items == 0) {
@@ -206,11 +203,10 @@ WorkerPool::finishItem(const std::shared_ptr<Batch> &batch)
         if (--batch->remaining_ > 0)
             return;
     }
-    // Last item: run the completion hook while the batch is still on
-    // the active list (the resetArenasIfIdle() quiescence invariant),
-    // then retire it.  The stored closures are dropped here because
-    // they typically own shared state that in turn owns this batch --
-    // keeping them would leak the cycle.
+    // Last item: run the completion hook, then retire the batch.  The
+    // stored closures are dropped here because they typically own
+    // shared state that in turn owns this batch -- keeping them would
+    // leak the cycle.
     if (batch->onComplete_)
         batch->onComplete_();
     batch->fn_ = nullptr;
@@ -235,7 +231,6 @@ WorkerPool::workerMain(unsigned id)
 {
     WorkerContext ctx;
     ctx.worker = id;
-    ctx.arena = &slots_[id]->arena;
     ctx.cancel = &slots_[id]->cancel;
 
     std::vector<std::shared_ptr<Batch>> snapshot;
@@ -293,21 +288,6 @@ WorkerPool::workerMain(unsigned id)
                 workCv_.wait(lock);
         }
     }
-}
-
-bool
-WorkerPool::resetArenasIfIdle()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!active_.empty())
-        return false;
-    // No active batch means every item and completion hook has
-    // returned, so no worker can be touching its arena (workers only
-    // do so while executing an item) and no arena-carved object is
-    // still alive (callers destroy them in completion hooks).
-    for (auto &slot : slots_)
-        slot->arena.reset();
-    return true;
 }
 
 } // namespace trrip::exp

@@ -14,15 +14,6 @@
  * independent of thread count (the bit-identical-across-TRRIP_JOBS
  * contract of the runner).
  *
- * Each worker owns an Arena handed to every item it executes
- * (WorkerContext), giving per-worker memory isolation for objects the
- * item carves out of it.  Arenas are recycled by resetArenasIfIdle(),
- * which is a no-op unless the pool is provably quiescent: a batch
- * leaves the active list only after its last item (and its
- * completion callback, where callers destroy arena-carved objects)
- * has finished, so an empty active list means no worker is executing
- * and no caller object still lives in an arena.
- *
  * Failure containment: the pool enforces a success-or-error item
  * contract.  Anything an item throws is caught at the item boundary,
  * recorded on the batch (failures()), and the batch keeps draining --
@@ -38,6 +29,7 @@
 #ifndef TRRIP_EXP_POOL_HH
 #define TRRIP_EXP_POOL_HH
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -51,8 +43,8 @@
 #include <utility>
 #include <vector>
 
-#include "util/arena.hh"
 #include "util/error.hh"
+#include "util/types.hh"
 
 namespace trrip::exp {
 
@@ -60,7 +52,6 @@ namespace trrip::exp {
 struct WorkerContext
 {
     unsigned worker = 0;     //!< Stable id in [0, threads()).
-    Arena *arena = nullptr;  //!< The worker's private arena.
     /** The worker's deadline token; poll and throw to honor it. */
     const CancelToken *cancel = nullptr;
 };
@@ -128,22 +119,13 @@ class WorkerPool
 
     /**
      * Enqueue @p items invocations of @p fn, striped over
-     * min(threads, width_cap, items) shards (width_cap 0 = threads).
-     * @p on_complete, if set, runs on the worker that finishes the
-     * last item, before the batch is retired from the pool -- the
-     * hook for destroying arena-carved objects while the quiescence
-     * invariant of resetArenasIfIdle() still sees the batch active.
+     * min(threads, items) shards.  @p on_complete, if set, runs on
+     * the worker that finishes the last item, before wait() returns.
      * An empty batch completes (and runs @p on_complete) inline.
      */
     std::shared_ptr<Batch>
-    submit(std::size_t items, ItemFn fn, unsigned width_cap = 0,
+    submit(std::size_t items, ItemFn fn,
            std::function<void()> on_complete = nullptr);
-
-    /**
-     * Recycle every worker arena iff no batch is active (see file
-     * comment); returns whether the reset happened.
-     */
-    bool resetArenasIfIdle();
 
     /**
      * Per-item deadline in milliseconds (0 disables).  Applies to
@@ -151,12 +133,6 @@ class WorkerPool
      * thread on the first nonzero timeout.
      */
     void setItemTimeout(std::uint64_t ms);
-
-    std::uint64_t
-    itemTimeoutMs() const
-    {
-        return itemTimeoutMs_.load(std::memory_order_relaxed);
-    }
 
     /**
      * Restart worker @p worker's deadline clock and clear its cancel
@@ -169,9 +145,8 @@ class WorkerPool
     void rearmDeadline(unsigned worker);
 
   private:
-    struct WorkerSlot
+    struct alignas(kCacheLineBytes) WorkerSlot
     {
-        alignas(kCacheLineBytes) Arena arena;
         /** Cooperative deadline token handed to items. */
         CancelToken cancel;
         /** Guards deadline/running against the watchdog. */
@@ -195,7 +170,7 @@ class WorkerPool
     std::uint64_t epoch_ = 0; // Bumped on submit; guards lost wakeups.
     bool stop_ = false;
 
-    std::atomic<std::uint64_t> itemTimeoutMs_{0};
+    std::atomic<std::uint64_t> timeoutMs_{0};
     /** Watchdog thread state (lazily spawned; joined after workers,
      *  so deadlines stay enforced while the pool drains at
      *  shutdown). */

@@ -24,7 +24,8 @@ ProfileCache::key(const SyntheticWorkload &workload,
 
 std::shared_ptr<const Profile>
 ProfileCache::get(const SyntheticWorkload &workload,
-                  InstCount profile_instructions)
+                  InstCount profile_instructions,
+                  const CancelToken *cancel)
 {
     std::shared_ptr<Entry> entry;
     {
@@ -34,10 +35,12 @@ ProfileCache::get(const SyntheticWorkload &workload,
             slot = std::make_shared<Entry>();
         entry = slot;
     }
+    // A throw (a cancelled or failed collection) leaves the once flag
+    // unset and the counters untouched: the next request collects.
     bool collected = false;
     std::call_once(entry->once, [&] {
         entry->profile = std::make_shared<const Profile>(
-            collectProfile(workload, profile_instructions));
+            collectProfile(workload, profile_instructions, cancel));
         collected = true;
         collections_.fetch_add(1, std::memory_order_relaxed);
     });
@@ -47,7 +50,8 @@ ProfileCache::get(const SyntheticWorkload &workload,
 }
 
 std::shared_ptr<const trace::TraceIndex>
-ProfileCache::traceIndex(const std::string &path)
+ProfileCache::traceIndex(const std::string &path,
+                         const CancelToken *cancel)
 {
     std::shared_ptr<TraceEntry> entry;
     {
@@ -60,7 +64,7 @@ ProfileCache::traceIndex(const std::string &path)
     bool collected = false;
     std::call_once(entry->once, [&] {
         entry->index = std::make_shared<const trace::TraceIndex>(
-            trace::buildTraceIndex(path));
+            trace::buildTraceIndex(path, cancel));
         collected = true;
         collections_.fetch_add(1, std::memory_order_relaxed);
     });

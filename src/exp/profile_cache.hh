@@ -22,7 +22,7 @@
 
 #include "sim/simulator.hh"
 #include "trace/replay.hh"
-#include "util/arena.hh"
+#include "util/types.hh"
 
 namespace trrip::exp {
 
@@ -36,10 +36,16 @@ class ProfileCache
      * training input (seed and Zipf skew), its structural size, and
      * the budget; everything else (policy, cache geometry, layout
      * options) does not influence the instrumented run.
+     *
+     * @p cancel bounds the collection this call runs (collectProfile).
+     * A cancelled collection throws SimError(Timeout) and leaves the
+     * entry unset and collections() unchanged, so the next request
+     * collects it again.
      */
     std::shared_ptr<const Profile>
     get(const SyntheticWorkload &workload,
-        InstCount profile_instructions);
+        InstCount profile_instructions,
+        const CancelToken *cancel = nullptr);
 
     /**
      * The shared TraceIndex for the trace file at @p path, built on
@@ -47,10 +53,11 @@ class ProfileCache
      * program -- is the trace analogue of a training profile: a pure
      * function of the file, independent of policy and configuration,
      * so a grid needs exactly one pre-pass per trace.  Counted in the
-     * same collections()/hits() statistics.
+     * same collections()/hits() statistics, and cancelled like get().
      */
     std::shared_ptr<const trace::TraceIndex>
-    traceIndex(const std::string &path);
+    traceIndex(const std::string &path,
+               const CancelToken *cancel = nullptr);
 
     /** Instrumented runs actually executed (one per distinct key). */
     std::uint64_t

@@ -138,7 +138,6 @@ struct RunState
     std::map<std::string, BuiltWorkload> workloads;
 
     ProfileCache *profiles = nullptr;
-    bool reuseProfiles = true;
     WorkerPool *pool = nullptr;
 
     std::chrono::steady_clock::time_point t0;
@@ -229,18 +228,18 @@ struct RunState
         mo.workloadProvider = [this](const std::string &label) {
             return workload(label);
         };
-        // Without reuse every cell repeats its instrumented run and
-        // trace pre-pass (the no-cache worst case).
-        if (reuseProfiles) {
-            ProfileCache *cache = profiles;
-            mo.profileProvider = [cache](const SyntheticWorkload &w,
-                                         InstCount budget) {
-                return cache->get(w, budget);
-            };
-            mo.traceIndexProvider = [cache](const std::string &path) {
-                return cache->traceIndex(path);
-            };
-        }
+        // The cell's deadline token rides into the shared collections,
+        // so an overrunning profile pass or trace pre-pass times out
+        // like the simulation does.
+        ProfileCache *cache = profiles;
+        const CancelToken *cancel = ctx.options.cancel;
+        mo.profileProvider = [cache, cancel](const SyntheticWorkload &w,
+                                             InstCount budget) {
+            return cache->get(w, budget, cancel);
+        };
+        mo.traceIndexProvider = [cache, cancel](const std::string &path) {
+            return cache->traceIndex(path, cancel);
+        };
         const bool bundle = isMultiCoreName(ctx.workload);
         MultiCoreResult mc = runMultiCore(
             bundle ? multiCoreWorkloadsOf(ctx.workload)
@@ -283,7 +282,6 @@ struct RunState
         ctx.config = rec.config;
         ctx.options = spec.options;
         ctx.worker = wc.worker;
-        ctx.arena = wc.arena;
         if (!spec.configs.empty() && spec.configs[ctx.id.config].apply)
             spec.configs[ctx.id.config].apply(ctx.options);
         // Config mutators must not smuggle in a shared observer
@@ -438,16 +436,23 @@ ExperimentRunner::submit(const ExperimentSpec &spec,
     // Reject policy-axis entries that are the same policy in
     // different spellings ("SRRIP" vs "SRRIP(bits=2)"): the sinks
     // canonicalize labels, so their rows would be indistinguishable.
+    // A grid-level error: thrown before any cell runs, whatever the
+    // spec's OnError mode.
     {
         std::map<std::string, std::string> seen;
         for (const auto &label : spec.policies) {
             const std::string canon =
                 PolicyRegistry::instance().canonicalLabel(label);
             const auto [it, inserted] = seen.emplace(canon, label);
-            fatal_if(!inserted, "experiment '", spec.name,
-                     "': policy axis entries '", it->second, "' and '",
-                     label, "' resolve to the same policy (", canon,
-                     ")");
+            if (!inserted) {
+                throw SimError(
+                    ErrorCategory::BuildFailure,
+                    trrip::detail::formatArgs(
+                        "experiment '", spec.name,
+                        "': policy axis entries '", it->second,
+                        "' and '", label,
+                        "' resolve to the same policy (", canon, ")"));
+            }
         }
     }
 
@@ -460,7 +465,6 @@ ExperimentRunner::submit(const ExperimentSpec &spec,
                                  return proxyParams(name);
                              };
     state->profiles = &profiles_;
-    state->reuseProfiles = reuseProfiles_;
 
     const std::size_t n_cells = spec.cellCount();
     state->records.resize(n_cells);
@@ -497,16 +501,21 @@ ExperimentRunner::submit(const ExperimentSpec &spec,
                     const JournalEntry &entry = it->second;
                     // A label mismatch means the journal belongs to
                     // a different grid; resuming from it would emit
-                    // silently wrong rows.
-                    fatal_if(entry.workload != rec.workload ||
-                                 entry.policy != rec.policy ||
-                                 entry.config != rec.config,
-                             "journal '", spec.journal, "' cell ", i,
-                             " is (", entry.workload, ", ",
-                             entry.policy, ", ", entry.config,
-                             ") but experiment '", spec.name,
-                             "' expects (", rec.workload, ", ",
-                             rec.policy, ", ", rec.config, ")");
+                    // silently wrong rows.  Thrown before the journal
+                    // is reopened, so nothing is appended to it.
+                    if (entry.workload != rec.workload ||
+                        entry.policy != rec.policy ||
+                        entry.config != rec.config) {
+                        throw SimError(
+                            ErrorCategory::BuildFailure,
+                            trrip::detail::formatArgs(
+                                "journal '", spec.journal, "' cell ", i,
+                                " is (", entry.workload, ", ",
+                                entry.policy, ", ", entry.config,
+                                ") but experiment '", spec.name,
+                                "' expects (", rec.workload, ", ",
+                                rec.policy, ", ", rec.config, ")"));
+                    }
                     rec.metrics = entry.metrics;
                     rec.artifacts.resolvedPolicies =
                         entry.resolvedPolicies;
@@ -531,16 +540,9 @@ ExperimentRunner::submit(const ExperimentSpec &spec,
         [state](std::size_t ordinal, WorkerContext &wc) {
             state->runCellGuarded(ordinal, wc);
         },
-        state->threadsUsed, [state] { state->finish(); });
+        [state] { state->finish(); });
 
     return PendingRun(std::move(state));
-}
-
-bool
-PendingRun::done() const
-{
-    panic_if(!state_, "done() on an empty PendingRun");
-    return state_->batch->done();
 }
 
 ExperimentResults
@@ -552,12 +554,9 @@ PendingRun::wait()
 
     // Abort mode: a failed cell poisons the whole grid.  Rethrow the
     // deterministically-first error without feeding the sinks -- no
-    // partial BENCH files -- but recycle the arenas first (the batch
-    // is complete, so the pool may well be quiescent).
-    if (state->firstError) {
-        state->pool->resetArenasIfIdle();
+    // partial BENCH files.
+    if (state->firstError)
         throw *state->firstError;
-    }
 
     ExperimentResults results(state->spec, std::move(state->records));
     results.wallSeconds = state->wallSeconds;
@@ -583,10 +582,6 @@ PendingRun::wait()
                 sink->cell(rec);
         sink->end(results);
     }
-
-    // Opportunistically recycle the worker arenas (no-op while any
-    // other spec is still in flight).
-    state->pool->resetArenasIfIdle();
     return results;
 }
 

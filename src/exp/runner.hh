@@ -130,11 +130,6 @@ class PendingRun
      */
     ExperimentResults wait();
 
-    /** Whether every cell has finished. */
-    bool done() const;
-
-    bool valid() const { return state_ != nullptr; }
-
   private:
     friend class ExperimentRunner;
     explicit PendingRun(std::shared_ptr<detail::RunState> state) :
@@ -161,6 +156,9 @@ class ExperimentRunner
      * Enqueue @p spec on the pool and return without blocking, so
      * multiple specs can be in flight at once (cells steal across
      * them at cell granularity).  The sinks are fed by wait().
+     * Throws SimError(BuildFailure), before any cell runs, for a
+     * grid-level error: two policy-axis entries that resolve to the
+     * same policy, or a journal written by a different grid.
      */
     PendingRun submit(const ExperimentSpec &spec,
                       const std::vector<ResultSink *> &sinks = {});
@@ -179,13 +177,6 @@ class ExperimentRunner
     unsigned threads() const { return threads_; }
 
     /**
-     * Disable training-profile reuse (every cell re-collects its own
-     * profile, the worst case) -- used by the scaling bench to
-     * quantify what the cache buys.
-     */
-    void setProfileReuse(bool enabled) { reuseProfiles_ = enabled; }
-
-    /**
      * Per-cell deadline in milliseconds (0 disables).  Defaults to
      * TRRIP_CELL_TIMEOUT_MS from the environment.  An overrunning
      * cell is cooperatively cancelled and fails with
@@ -202,7 +193,6 @@ class ExperimentRunner
     WorkerPool &ensurePool();
 
     unsigned threads_;
-    bool reuseProfiles_ = true;
     ProfileCache profiles_;
     std::once_flag poolOnce_;
     // Last member: its destructor drains the workers while every

@@ -22,10 +22,6 @@
 #include "util/error.hh"
 #include "workloads/proxies.hh"
 
-namespace trrip {
-class Arena;
-} // namespace trrip
-
 namespace trrip::exp {
 
 class ProfileCache;
@@ -86,9 +82,6 @@ struct CellContext
     ProfileCache *profiles = nullptr;
     /** Stable id of the pool worker executing this cell. */
     unsigned worker = 0;
-    /** That worker's private arena (see exp/pool.hh); objects carved
-     *  from it must be destroyed before the cell returns. */
-    Arena *arena = nullptr;
 };
 
 /** One experiment grid. */

@@ -20,7 +20,7 @@ defaultInstrBudget()
 
 Profile
 collectProfile(const SyntheticWorkload &workload,
-               InstCount instructions)
+               InstCount instructions, const CancelToken *cancel)
 {
     // Instrumented binaries are the pre-PGO layout (Fig. 4, ELF1).
     LayoutOptions layout_opts;
@@ -37,9 +37,15 @@ collectProfile(const SyntheticWorkload &workload,
     // the executor is a pure generator and this instance dies here.
     Profile profile(workload.program.numBlocks());
     constexpr std::uint32_t kBatch = 64;
+    // The deadline poll runs once per kPollBatches batches, so a
+    // fired token lands within a few thousand events.
+    constexpr std::uint64_t kPollBatches = 64;
     std::vector<BBEvent> ring(kBatch);
     InstCount done = 0;
-    while (done < instructions) {
+    for (std::uint64_t batch = 0; done < instructions; ++batch) {
+        if (cancel && batch % kPollBatches == 0 && cancel->cancelled())
+            throw SimError(ErrorCategory::Timeout,
+                           "cell deadline exceeded");
         exec.produce(ring.data(), kBatch - 1, 0, kBatch);
         for (std::uint32_t i = 0; i < kBatch && done < instructions;
              ++i) {
@@ -84,7 +90,7 @@ prepareWorkload(const SyntheticWorkload &workload,
         art.profile = options.precomputedProfile;
     else
         art.profile = std::make_shared<Profile>(
-            collectProfile(workload, profile_budget));
+            collectProfile(workload, profile_budget, options.cancel));
 
     // (4)-(5) Re-optimization: classify temperature, lay out ELF2.
     LayoutOptions layout_opts = options.layout;

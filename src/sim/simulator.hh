@@ -102,10 +102,13 @@ InstCount resolveProfileBudget(const SimOptions &options);
 /**
  * Run the instrumentation (training) execution and collect the PGO
  * profile (paper Fig. 4, steps 2-3).  Uses the non-PGO layout, the
- * training seed and the training Zipf skew.
+ * training seed and the training Zipf skew.  @p cancel, if set, is
+ * polled every few thousand events; once it fires the collection
+ * throws SimError(Timeout), like the simulation it precedes.
  */
 Profile collectProfile(const SyntheticWorkload &workload,
-                       InstCount instructions);
+                       InstCount instructions,
+                       const CancelToken *cancel = nullptr);
 
 /**
  * The software half of a run: artifacts plus the page table they were

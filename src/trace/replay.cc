@@ -66,10 +66,10 @@ branchFlags(const TraceInstr &in)
 /**
  * The block rebuild (trace/source.hh): stream one lap of @p index's
  * file into index.lap, recording each event's block in the profile
- * as it closes.
+ * as it closes.  Polls @p cancel once per kPollEvents events.
  */
 void
-decodeLap(TraceIndex &index)
+decodeLap(TraceIndex &index, const CancelToken *cancel)
 {
     TraceReader reader(index.path);
     if (!reader.valid())
@@ -104,7 +104,13 @@ decodeLap(TraceIndex &index)
     // touched, so it costs address space, not resident memory.
     lap.events.reserve(index.recordCount);
     lap.data.reserve(index.recordCount);
+    constexpr std::size_t kPollEvents = 4096;
     while (cur) {
+        if (cancel && lap.events.size() % kPollEvents == 0 &&
+            cancel->cancelled()) {
+            throw SimError(ErrorCategory::Timeout,
+                           "cell deadline exceeded");
+        }
         // cur starts the block.
         auto [slot, inserted] = ids.tryEmplace(cur->ip);
         if (inserted) {
@@ -196,11 +202,11 @@ decodeLap(TraceIndex &index)
 } // namespace
 
 TraceIndex
-buildTraceIndex(const std::string &path)
+buildTraceIndex(const std::string &path, const CancelToken *cancel)
 {
     TraceIndex index;
     index.path = path;
-    decodeLap(index);
+    decodeLap(index, cancel);
 
     // Pseudo-program: one single-block Handler function per block, so
     // classifyTemperature() sees the same (Program, Profile) shape a
@@ -338,7 +344,7 @@ prepareTrace(const std::string &path, const SimOptions &options,
     TraceRuntime rt;
     if (!index) {
         index = std::make_shared<const TraceIndex>(
-            buildTraceIndex(path));
+            buildTraceIndex(path, options.cancel));
     }
     panic_if(index->path != path, "trace index for '", index->path,
              "' replayed against '", path, "'");

@@ -68,9 +68,11 @@ struct TraceIndex
  * SimError(TraceCorrupt) on a missing, corrupt or empty file -- a
  * contained per-cell failure the experiment layer's OnError policy
  * handles (probe untrusted files with TraceReader to avoid the
- * throw).
+ * throw).  @p cancel, if set, is polled every few thousand events;
+ * once it fires the pre-pass throws SimError(Timeout).
  */
-TraceIndex buildTraceIndex(const std::string &path);
+TraceIndex buildTraceIndex(const std::string &path,
+                           const CancelToken *cancel = nullptr);
 
 /**
  * The software half of a trace replay: artifacts plus the page table

@@ -7,6 +7,7 @@
 #ifndef TRRIP_UTIL_TYPES_HH
 #define TRRIP_UTIL_TYPES_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -20,6 +21,11 @@ using Cycles = std::uint64_t;
 
 /** Count of retired instructions. */
 using InstCount = std::uint64_t;
+
+/** Destructive-interference padding unit (conservative constant: the
+ *  standard's hardware_destructive_interference_size triggers ABI
+ *  warnings on GCC and is unavailable on some libc++ builds). */
+constexpr std::size_t kCacheLineBytes = 64;
 
 /**
  * Code temperature as classified by PGO (paper section 3.2).

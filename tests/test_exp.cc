@@ -147,7 +147,7 @@ TEST(ExperimentRunner, PoolPersistsAcrossRunsWithoutThreadLeak)
     EXPECT_EQ(processThreadCount(), before);
 }
 
-TEST(ExperimentRunner, CellsSeeWorkerIdsAndArenas)
+TEST(ExperimentRunner, CellsSeeWorkerIds)
 {
     exp::ExperimentSpec spec;
     spec.name = "worker_ids";
@@ -155,25 +155,24 @@ TEST(ExperimentRunner, CellsSeeWorkerIdsAndArenas)
     spec.policies = {"a", "b", "c", "d", "e", "f"};
     std::mutex mu;
     std::set<unsigned> workers;
-    std::atomic<int> arena_cells{0};
+    std::atomic<int> cells{0};
     spec.runCell = [&](const exp::CellContext &ctx) {
         {
             std::lock_guard<std::mutex> lock(mu);
             workers.insert(ctx.worker);
         }
-        if (ctx.arena != nullptr &&
-            *ctx.arena->make<int>(42) == 42)
-            arena_cells.fetch_add(1);
+        cells.fetch_add(1);
         return exp::CellOutcome{};
     };
     exp::ExperimentRunner runner(2);
     runner.run(spec);
-    EXPECT_EQ(arena_cells.load(), 6);
+    EXPECT_EQ(cells.load(), 6);
+    ASSERT_FALSE(workers.empty());
     for (unsigned w : workers)
         EXPECT_LT(w, 2u);
 }
 
-TEST(WorkerPool, RunsEveryItemAndGatesArenaReset)
+TEST(WorkerPool, RunsEveryItem)
 {
     exp::WorkerPool pool(3);
     EXPECT_EQ(pool.threads(), 3u);
@@ -184,17 +183,14 @@ TEST(WorkerPool, RunsEveryItemAndGatesArenaReset)
     auto batch = pool.submit(
         16, [&](std::size_t item, exp::WorkerContext &wc) {
             EXPECT_LT(wc.worker, 3u);
-            EXPECT_NE(wc.arena, nullptr);
             {
                 std::unique_lock<std::mutex> lock(mu);
                 cv.wait(lock, [&] { return release; });
             }
             sum.fetch_add(static_cast<int>(item));
         });
-    // Workers are parked inside items: the batch is live, so arena
-    // memory must not be recycled underneath them.
+    // Workers are parked inside items: the batch is still live.
     EXPECT_FALSE(batch->done());
-    EXPECT_FALSE(pool.resetArenasIfIdle());
     {
         std::lock_guard<std::mutex> lock(mu);
         release = true;
@@ -203,7 +199,6 @@ TEST(WorkerPool, RunsEveryItemAndGatesArenaReset)
     batch->wait();
     EXPECT_TRUE(batch->done());
     EXPECT_EQ(sum.load(), 120); // 0 + 1 + ... + 15.
-    EXPECT_TRUE(pool.resetArenasIfIdle());
 }
 
 TEST(ExperimentRunner, GridCollectsEachWorkloadProfileOnce)

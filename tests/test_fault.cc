@@ -2,13 +2,15 @@
  * @file
  * Tests for the failure-containment layer: the SimError taxonomy, the
  * deterministic fault injector, the success-or-error cell contract
- * under every OnError mode, watchdog timeout cancellation, trace
- * corruption context, pool shutdown with failed batches in flight,
- * and journal write/load/resume byte-identity.
+ * under every OnError mode, watchdog timeout cancellation (the
+ * profile pass and trace pre-pass included), trace corruption
+ * context, pool shutdown with failed batches in flight, and journal
+ * write/load/resume byte-identity and grid mismatch.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -20,10 +22,13 @@
 
 #include "exp/journal.hh"
 #include "exp/pool.hh"
+#include "exp/profile_cache.hh"
 #include "exp/runner.hh"
 #include "exp/sink.hh"
+#include "trace/generate.hh"
 #include "trace/reader.hh"
 #include "trace/replay.hh"
+#include "workloads/builder.hh"
 #include "util/error.hh"
 #include "util/fault.hh"
 
@@ -269,24 +274,87 @@ TEST_F(FaultTest, WatchdogCancelsOverrunningCell)
 {
     exp::ExperimentRunner runner(2);
     runner.setCellTimeout(150);
-    exp::ExperimentSpec spec;
-    spec.name = "timeout_grid";
-    spec.workloads = {"python"};
-    spec.policies = {"SRRIP"};
-    // A budget far beyond what 150 ms can simulate.
-    spec.options.maxInstructions = 2'000'000'000;
-    spec.onError.mode = exp::OnError::Mode::Skip;
-    const exp::ExperimentResults results = runner.run(spec, {});
-    ASSERT_EQ(results.cells().size(), 1u);
-    const auto &rec = results.cells()[0];
-    ASSERT_TRUE(rec.failed);
-    EXPECT_EQ(rec.errorCategory, "timeout");
-    EXPECT_EQ(results.cellsFailed, 1u);
+    // A budget far beyond what 150 ms can simulate.  With the default
+    // profile budget (the evaluation budget) the deadline fires in the
+    // profile pass; with a small one, in the simulation.
+    for (const InstCount profile : {InstCount(0), InstCount(100'000)}) {
+        SCOPED_TRACE("profile budget " + std::to_string(profile));
+        exp::ExperimentSpec spec;
+        spec.name = "timeout_grid";
+        spec.workloads = {"python"};
+        spec.policies = {"SRRIP"};
+        spec.options.maxInstructions = 2'000'000'000;
+        spec.options.profileInstructions = profile;
+        spec.onError.mode = exp::OnError::Mode::Skip;
+        const auto t0 = std::chrono::steady_clock::now();
+        const exp::ExperimentResults results = runner.run(spec, {});
+        const double elapsed = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - t0)
+                                   .count();
+        ASSERT_EQ(results.cells().size(), 1u);
+        const auto &rec = results.cells()[0];
+        ASSERT_TRUE(rec.failed);
+        EXPECT_EQ(rec.errorCategory, "timeout");
+        EXPECT_EQ(results.cellsFailed, 1u);
+        // The deadline bounds the whole cell, profile pass included:
+        // the row arrives within a small multiple of 150 ms (plus the
+        // workload build), not after the full instrumented run.
+        EXPECT_LT(elapsed, 3.0);
+        // A cancelled collection leaves no profile behind.
+        EXPECT_EQ(results.profileCollections, profile == 0 ? 0u : 1u);
+    }
 
     // With the deadline lifted the same runner completes normally.
     runner.setCellTimeout(0);
     const exp::ExperimentResults after = runner.run(tinySpec(), {});
     EXPECT_EQ(after.cellsFailed, 0u);
+}
+
+TEST_F(FaultTest, CancelledCollectionLeavesTheCacheEntryUnset)
+{
+    const SyntheticWorkload wl = buildWorkload(proxyParams("python"));
+    const std::string path = "fault_cancel_dispatch.trrtrc";
+    trace::generateMiniTrace("dispatch", path);
+    constexpr InstCount kBudget = 50'000;
+
+    CancelToken fired;
+    fired.cancel();
+    exp::ProfileCache cache;
+    for (int call = 0; call < 2; ++call) {
+        try {
+            cache.get(wl, kBudget, &fired);
+            ADD_FAILURE() << "cancelled profile collection returned";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.category(), ErrorCategory::Timeout);
+        }
+        try {
+            cache.traceIndex(path, &fired);
+            ADD_FAILURE() << "cancelled trace pre-pass returned";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.category(), ErrorCategory::Timeout);
+        }
+    }
+    EXPECT_EQ(cache.collections(), 0u);
+    EXPECT_EQ(cache.hits(), 0u);
+
+    // The entries were not poisoned: an uncancelled request collects
+    // exactly what a direct call does.
+    const auto profile = cache.get(wl, kBudget);
+    EXPECT_EQ(profile->counts(), collectProfile(wl, kBudget).counts());
+    EXPECT_EQ(cache.collections(), 1u);
+
+    const auto index = cache.traceIndex(path);
+    const trace::TraceIndex direct = trace::buildTraceIndex(path);
+    EXPECT_EQ(index->recordCount, direct.recordCount);
+    EXPECT_EQ(index->passInstructions, direct.passInstructions);
+    EXPECT_EQ(index->blocks.size(), direct.blocks.size());
+    EXPECT_EQ(index->lap.events.size(), direct.lap.events.size());
+    EXPECT_EQ(index->lap.data.size(), direct.lap.data.size());
+    EXPECT_EQ(index->profile.counts(), direct.profile.counts());
+    EXPECT_EQ(cache.collections(), 2u);
+    EXPECT_EQ(cache.hits(), 0u);
+
+    std::remove(path.c_str());
 }
 
 // ------------------------------------------------ trace error context
@@ -436,6 +504,51 @@ TEST_F(FaultTest, JournalRoundTripSkipsErrorAndTornLines)
     std::ofstream(path, std::ios::binary) << text;
     EXPECT_TRUE(exp::RunJournal::load(path).empty());
     std::remove(path.c_str());
+}
+
+TEST_F(FaultTest, JournalFromAnotherGridIsRejectedBeforeAnyCell)
+{
+    const std::string journal = "fault_foreign.jsonl";
+    std::remove(journal.c_str());
+    {
+        exp::RunJournal writer(journal);
+        exp::JournalEntry entry;
+        entry.cell = 0;
+        entry.workload = "gcc";  // tinySpec()'s cell 0 is python/SRRIP.
+        entry.policy = "SRRIP";
+        entry.attempts = 1;
+        entry.metrics = {{"ipc", 1.0}};
+        writer.append(entry);
+    }
+    const std::string before = slurp(journal);
+
+    // A grid-level error: submit() throws under every OnError mode,
+    // before any cell runs and without touching the journal.
+    for (const auto mode : {exp::OnError::Mode::Abort,
+                            exp::OnError::Mode::Skip,
+                            exp::OnError::Mode::Retry}) {
+        auto spec = tinySpec();
+        spec.journal = journal;
+        spec.onError.mode = mode;
+        std::atomic<int> ran{0};
+        spec.runCell = [&ran](const exp::CellContext &) {
+            ran.fetch_add(1);
+            return exp::CellOutcome{};
+        };
+        exp::ExperimentRunner runner(2);
+        try {
+            runner.submit(spec, {}).wait();
+            ADD_FAILURE() << "a foreign journal was resumed";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.category(), ErrorCategory::BuildFailure);
+            EXPECT_NE(e.message().find("expects (python, SRRIP"),
+                      std::string::npos)
+                << e.message();
+        }
+        EXPECT_EQ(ran.load(), 0);
+    }
+    EXPECT_EQ(slurp(journal), before);
+    std::remove(journal.c_str());
 }
 
 TEST_F(FaultTest, ResumeReproducesByteIdenticalBench)

@@ -501,30 +501,26 @@ TEST(MultiCoreRunner, CellsEqualDirectCalls)
         }
     }
 
-    for (const bool reuse : {true, false}) {
-        for (const unsigned jobs : {1u, 4u}) {
-            SCOPED_TRACE("reuse " + std::to_string(reuse) + ", " +
-                         std::to_string(jobs) + " jobs");
-            builds.clear();
-            exp::ExperimentRunner runner(jobs);
-            runner.setProfileReuse(reuse);
-            const exp::ExperimentResults results = runner.run(spec, {});
-            for (const exp::CellRecord &rec : results.cells()) {
-                const std::string key = rec.workload + "/" + rec.policy;
-                ASSERT_FALSE(rec.failed) << key << ": " << rec.errorMessage;
-                EXPECT_EQ(goldenFingerprint(rec.result()),
-                          fingerprint.at(key))
-                    << key;
-                for (const auto &[metric, value] : bundle[key])
-                    EXPECT_EQ(rec.metrics.at(metric), value)
-                        << key << " " << metric;
-            }
-            // One build per distinct proxy label per submit, shared
-            // by single-core cells and bundle lanes alike.
-            EXPECT_EQ(builds,
-                      (std::map<std::string, int>{{"gcc", 1},
-                                                  {"python", 1}}));
+    for (const unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE(std::to_string(jobs) + " jobs");
+        builds.clear();
+        exp::ExperimentRunner runner(jobs);
+        const exp::ExperimentResults results = runner.run(spec, {});
+        for (const exp::CellRecord &rec : results.cells()) {
+            const std::string key = rec.workload + "/" + rec.policy;
+            ASSERT_FALSE(rec.failed) << key << ": " << rec.errorMessage;
+            EXPECT_EQ(goldenFingerprint(rec.result()),
+                      fingerprint.at(key))
+                << key;
+            for (const auto &[metric, value] : bundle[key])
+                EXPECT_EQ(rec.metrics.at(metric), value)
+                    << key << " " << metric;
         }
+        // One build per distinct proxy label per submit, shared by
+        // single-core cells and bundle lanes alike.
+        EXPECT_EQ(builds,
+                  (std::map<std::string, int>{{"gcc", 1},
+                                              {"python", 1}}));
     }
 }
 

@@ -425,9 +425,23 @@ TEST(RegistryDeterminism, CollidingAxisSpellingsRejected)
     spec.workloads = {"python"};
     spec.policies = {"SRRIP", "SRRIP(bits=2)"};
     spec.options.maxInstructions = 100000;
-    exp::ExperimentRunner runner(1);
-    EXPECT_EXIT(runner.run(spec), ::testing::ExitedWithCode(1),
-                "resolve to the same policy");
+    // A grid-level error: submit() throws before any cell runs, under
+    // every OnError mode.
+    for (const auto mode : {exp::OnError::Mode::Abort,
+                            exp::OnError::Mode::Skip,
+                            exp::OnError::Mode::Retry}) {
+        spec.onError.mode = mode;
+        exp::ExperimentRunner runner(1);
+        try {
+            runner.run(spec);
+            ADD_FAILURE() << "colliding axis spellings were accepted";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.category(), ErrorCategory::BuildFailure);
+            EXPECT_NE(e.message().find("resolve to the same policy"),
+                      std::string::npos)
+                << e.message();
+        }
+    }
 }
 
 TEST(RegistryDeterminism, BareAndExplicitSpecEmitIdenticalJson)
